@@ -263,5 +263,4 @@ def save_csv(path, values, header=None):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in values:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",")

@@ -103,19 +103,6 @@ class NystromFactors:
         return self.C.shape[1]
 
 
-def _apply(A_apply, B):
-    """Multiply the operator by a block: ndarray, .matmat object or callable."""
-    if isinstance(A_apply, np.ndarray):
-        return A_apply @ B
-    if hasattr(A_apply, "matmat"):
-        return A_apply.matmat(B)
-    if callable(A_apply):
-        return np.asarray(A_apply(B), dtype=float)
-    raise ParameterError(
-        "A_apply must be an ndarray, expose .matmat, or be callable"
-    )
-
-
 def sample_columns(kernel_columns, deg, l, seed):
     """Uniform-without-replacement column-sampling factors.
 
@@ -173,14 +160,16 @@ def _orthonormal_columns(Y, rng):
     return np.concatenate([base, pad], axis=1)
 
 
-def gaussian_sketch_basis(A_apply, n, l, q, seed):
+def gaussian_sketch_basis(A, n, l, q, seed):
     """Orthonormal basis capturing the dominant range of a symmetric operator.
 
-    Forms S = A Omega with Omega an n-by-l standard normal matrix drawn from
-    ``seed``, then runs q subspace-iteration passes.  A is symmetric, so one
-    pass multiplies by A twice, re-orthonormalizing after every multiply to
-    prevent the basis from collapsing onto the top eigenvector; the result
-    spans the range of (A A^T)^q A Omega.
+    ``A`` is an n-by-n ndarray or DiffusionOperator; only the products
+    ``A @ block`` are used.  Forms S = A Omega with Omega an n-by-l standard
+    normal matrix drawn from ``seed``, then runs q subspace-iteration
+    passes.  A is symmetric, so one pass multiplies by A twice,
+    re-orthonormalizing after every multiply to prevent the basis from
+    collapsing onto the top eigenvector; the result spans the range of
+    (A A^T)^q A Omega.
 
     Returns
     -------
@@ -190,16 +179,18 @@ def gaussian_sketch_basis(A_apply, n, l, q, seed):
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
     if q < 0:
         raise ParameterError(f"power iteration count must be >= 0, got {q}")
+    if getattr(A, "shape", None) != (n, n):
+        raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, l))
-    Q = _orthonormal_columns(_apply(A_apply, omega), rng)
+    Q = _orthonormal_columns(A @ omega, rng)
     for _ in range(q):
-        Q = _orthonormal_columns(_apply(A_apply, Q), rng)
-        Q = _orthonormal_columns(_apply(A_apply, Q), rng)
+        Q = _orthonormal_columns(A @ Q, rng)
+        Q = _orthonormal_columns(A @ Q, rng)
     return Q
 
 
-def project(A_apply, Q):
+def project(A, Q):
     """Projection factors C = AQ and W = Q^T C for an orthonormal basis Q.
 
     W is symmetrized as (W + W^T)/2 before use; for symmetric A the
@@ -208,17 +199,16 @@ def project(A_apply, Q):
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
         raise DimensionError(f"Q must be a matrix, got shape {Q.shape}")
+    n = Q.shape[0]
+    if getattr(A, "shape", None) != (n, n):
+        raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
     gram = Q.T @ Q
     drift = float(np.abs(gram - np.eye(Q.shape[1])).max())
     if drift > 1e-8:
         raise ContractError(
             f"Q is not orthonormal: max |Q^T Q - I| = {drift:.3e} > 1e-8"
         )
-    C = _apply(A_apply, Q)
-    if C.shape != Q.shape:
-        raise DimensionError(
-            f"operator returned shape {C.shape}, expected {Q.shape}"
-        )
+    C = A @ Q
     W = Q.T @ C
     W = 0.5 * (W + W.T)
     return NystromFactors(C, W, "gaussian_projection")
@@ -294,12 +284,12 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
     )
 
 
-def sketch_model(A_apply, n, config, deg, kernel_columns=None):
+def sketch_model(A, n, config, deg, kernel_columns=None):
     """Run a full sketch-to-model pipeline described by a SketchConfig.
 
-    For the projection strategy ``A_apply`` provides operator multiplies;
-    for column sampling ``kernel_columns`` provides kernel columns (see
-    sample_columns).  Convenience wrapper used by the benchmark runner.
+    For the projection strategy ``A`` provides the operator products
+    ``A @ block`` (see gaussian_sketch_basis); for column sampling
+    ``kernel_columns`` provides kernel columns (see sample_columns).
     """
     l = config.sketch_size
     if config.strategy == "uniform_columns":
@@ -307,6 +297,6 @@ def sketch_model(A_apply, n, config, deg, kernel_columns=None):
             raise ParameterError("column sampling needs a kernel_columns callback")
         factors, _ = sample_columns(kernel_columns, deg, l, config.seed)
     else:
-        Q = gaussian_sketch_basis(A_apply, n, l, config.power_iterations_q, config.seed)
-        factors = project(A_apply, Q)
+        Q = gaussian_sketch_basis(A, n, l, config.power_iterations_q, config.seed)
+        factors = project(A, Q)
     return nystrom_eigs(factors, config.target_rank_d, deg, config.pinv_tolerance)

@@ -28,6 +28,7 @@ from .datasets import (
     generate_swiss_roll,
     integrate_lorenz,
     load_csv,
+    save_csv,
     subsample_rows,
 )
 from .embedding import diffusion_map, kmeans_cluster, relative_embedding_error
@@ -47,6 +48,7 @@ from .errors import (
 from .kernel import DegreeVector, degree_vector, gaussian_kernel_columns, gaussian_kernel_matrix
 from .nystrom import SketchConfig, gaussian_sketch_basis, nystrom_eigs, project, sample_columns
 from .spectral import (
+    METHODS,
     DiffusionOperator,
     SpectralModel,
     deterministic_model,
@@ -56,7 +58,6 @@ from .spectral import (
 )
 
 DATASETS = ("helix", "swiss_roll", "lorenz", "csv")
-METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
 _DATASET_ALIASES = {"swiss": "swiss_roll"}
 _METHOD_ALIASES = {
@@ -67,7 +68,7 @@ _METHOD_ALIASES = {
 
 _CONFIG_ERRORS = (ParameterError, DataFormatError, DimensionError, IndexingError)
 
-_STAGES = ("kernel", "degrees", "decomposition", "embedding")
+_STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
 
 
 @dataclass
@@ -197,7 +198,10 @@ def _build_dataset(config):
 
 
 class _StageClock:
-    """Times named stages and converts module errors to StageFailure."""
+    """Times named stages and converts module errors to StageFailure.
+
+    Stages in _STAGES read 0.0 when they do not run; any other is added.
+    """
 
     def __init__(self):
         self.times = {name: 0.0 for name in _STAGES}
@@ -209,8 +213,7 @@ class _StageClock:
         except NydmapError as exc:
             raise StageFailure(stage, exc) from exc
         elapsed = time.perf_counter() - start
-        if stage in self.times:
-            self.times[stage] += elapsed
+        self.times[stage] = self.times.get(stage, 0.0) + elapsed
         return result, elapsed
 
 
@@ -377,7 +380,10 @@ def compare_methods(config):
             embeddings[method] = (emb, None)
         labels = None
         if config.cluster_k:
-            labels = kmeans_cluster(det_emb, config.cluster_k, seed=config.seed)
+            labels, _ = clock.run(
+                "clustering",
+                lambda: kmeans_cluster(det_emb, config.cluster_k, seed=config.seed),
+            )
             embeddings["deterministic"] = (det_emb, labels)
     report = ExperimentReport(
         config=config.to_dict(),
@@ -400,19 +406,6 @@ def _run_deterministic_solve(A, deg, d):
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
     markov = recover_markov_eigvecs(vecs, deg)
     return SpectralModel(vals, vecs, markov, deg, "deterministic", d)
-
-
-def _write_embedding_csv(path, emb, labels):
-    header = [f"c{i + 1}" for i in range(emb.d)]
-    if labels is not None:
-        header.append("label")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(emb.coords):
-            cells = ["%.17g" % v for v in row]
-            if labels is not None:
-                cells.append(str(int(labels.labels[i])))
-            fh.write(",".join(cells) + "\n")
 
 
 def _write_spectrum_csv(path, spectra):
@@ -452,7 +445,12 @@ def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
         written.append(path)
         for name, emb, labels in embedding_files:
             path = os.path.join(output_dir, name)
-            _write_embedding_csv(path, emb, labels)
+            header = [f"c{i + 1}" for i in range(emb.d)]
+            values = emb.coords
+            if labels is not None:
+                header.append("label")
+                values = np.column_stack((emb.coords, labels.labels))
+            save_csv(path, values, header)
             written.append(path)
         if spectra is not None:
             path = os.path.join(output_dir, "spectrum.csv")
@@ -523,13 +521,14 @@ def load_config_file(path):
 
 
 def _add_common_flags(parser, include_method):
+    # Each dest is an ExperimentConfig field.  A flag left unset reads None
+    # and leaves its field alone; store_true flags would read False instead.
     parser.add_argument(
         "--dataset",
         choices=("helix", "swiss", "swiss_roll", "lorenz", "csv"),
-        default=None,
         help="dataset to run on",
     )
-    parser.add_argument("--csv-path", default=None, help="input file for --dataset csv")
+    parser.add_argument("--csv-path", help="input file for --dataset csv")
     parser.add_argument(
         "--csv-skip-header",
         action="store_true",
@@ -537,31 +536,33 @@ def _add_common_flags(parser, include_method):
         help="skip the first row of the CSV input",
     )
     parser.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="number of observations (0 = every row of a csv dataset)",
+        "--n", type=int, help="number of observations (0 = every row of a csv dataset)"
     )
-    parser.add_argument("--sigma", type=float, default=None, help="kernel width")
+    parser.add_argument("--sigma", type=float, help="kernel width")
     parser.add_argument(
-        "--rank", type=int, default=None, help="target rank d (embedding components)"
+        "--rank", dest="d", type=int, help="target rank d (embedding components)"
     )
-    parser.add_argument("--t", type=float, default=None, help="diffusion time")
+    parser.add_argument("--t", type=float, help="diffusion time")
     if include_method:
         parser.add_argument(
             "--method",
             choices=tuple(_METHOD_ALIASES) + METHODS,
-            default=None,
             help="decomposition path",
         )
     parser.add_argument(
-        "--oversample", type=int, default=None, help="extra sketch columns beyond d"
+        "--oversample",
+        dest="oversampling",
+        type=int,
+        help="extra sketch columns beyond d",
     )
     parser.add_argument(
-        "--power-iters", type=int, default=None, help="subspace iteration passes q"
+        "--power-iters",
+        dest="power_iterations",
+        type=int,
+        help="subspace iteration passes q",
     )
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, help="RNG seed")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument(
         "--drop-trivial",
         action="store_true",
@@ -575,55 +576,32 @@ def _add_common_flags(parser, include_method):
         help="weight components by lambda^t instead of sqrt(lambda^t)",
     )
     parser.add_argument(
-        "--cluster", type=int, default=None, help="k-means cluster count (0 = off)"
+        "--cluster", dest="cluster_k", type=int, help="k-means cluster count (0 = off)"
     )
+    parser.add_argument("--noise-std", type=float, help="generator noise level")
     parser.add_argument(
-        "--noise-std", type=float, default=None, help="generator noise level"
+        "--pinv-tol",
+        dest="pinv_tolerance",
+        type=float,
+        help="relative pseudo-inverse cutoff",
     )
-    parser.add_argument(
-        "--pinv-tol", type=float, default=None, help="relative pseudo-inverse cutoff"
-    )
-    parser.add_argument(
-        "--config", default=None, help="key = value config file (overrides flags)"
-    )
-
-
-_FLAG_FIELDS = {
-    "dataset": "dataset",
-    "csv_path": "csv_path",
-    "csv_skip_header": "csv_skip_header",
-    "n": "n",
-    "sigma": "sigma",
-    "rank": "d",
-    "t": "t",
-    "method": "method",
-    "oversample": "oversampling",
-    "power_iters": "power_iterations",
-    "seed": "seed",
-    "out": "output_dir",
-    "drop_trivial": "drop_trivial",
-    "classic_weighting": "classic_weighting",
-    "cluster": "cluster_k",
-    "noise_std": "noise_std",
-    "pinv_tol": "pinv_tolerance",
-}
+    parser.add_argument("--config", help="key = value config file (overrides flags)")
 
 
 def _config_from_args(args):
     overrides = {}
-    for flag, field in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is None:
             continue
-        if field == "dataset":
+        if f.name == "dataset":
             value = _DATASET_ALIASES.get(value, value)
-        elif field == "method":
+        elif f.name == "method":
             value = _METHOD_ALIASES.get(value, value)
-        overrides[field] = value
+        overrides[f.name] = value
     if args.config is not None:
         overrides.update(load_config_file(args.config))
-    merged = ExperimentConfig.from_dict(overrides)
-    return merged
+    return ExperimentConfig.from_dict(overrides)
 
 
 def build_parser():
@@ -643,8 +621,7 @@ def build_parser():
 
 
 def _summarize(report, out_dir):
-    times = report.wall_time_seconds
-    stage_text = ", ".join(f"{s} {times[s]:.3f}s" for s in _STAGES)
+    stage_text = ", ".join(f"{s} {t:.3f}s" for s, t in report.wall_time_seconds.items())
     lines = [f"stages: {stage_text}"]
     if report.comparison:
         for method, block in report.comparison.items():
@@ -663,23 +640,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        config.validate()
-        if args.command == "run":
-            report = run_experiment(config)
-        else:
-            report = compare_methods(config)
-    except StageFailure as exc:
+        entry = run_experiment if args.command == "run" else compare_methods
+        report = entry(config)
+    except (NydmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, _CONFIG_ERRORS) else 3
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NydmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cause = exc.cause if isinstance(exc, StageFailure) else exc
+        return 2 if isinstance(cause, _CONFIG_ERRORS + (OSError,)) else 3
     print(_summarize(report, config.output_dir))
     return 0
 

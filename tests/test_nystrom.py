@@ -132,6 +132,12 @@ def test_sketch_basis_validation():
         gaussian_sketch_basis(A, 10, 5, q=-1, seed=0)
     with pytest.raises(ParameterError):
         gaussian_sketch_basis(object(), 10, 5, q=0, seed=0)
+    # The operator protocol is A @ B: a callable is not an operator, and the
+    # operator must be n-by-n.
+    with pytest.raises(ParameterError):
+        gaussian_sketch_basis(lambda B: A @ B, 10, 5, q=0, seed=0)
+    with pytest.raises(ParameterError):
+        gaussian_sketch_basis(np.eye(9), 10, 5, q=0, seed=0)
 
 
 def test_project_coordinate_basis():
@@ -156,6 +162,14 @@ def test_project_requires_orthonormal_basis():
     Q = np.linalg.qr(np.random.default_rng(1).normal(size=(40, 5)))[0]
     with pytest.raises(ContractError):
         project(A, 1.01 * Q)
+
+
+def test_project_requires_square_operator():
+    A = np.eye(20)
+    Q = np.eye(20)[:, :4]
+    for bad in (object(), lambda B: A @ B, np.eye(21)):
+        with pytest.raises(ParameterError):
+            project(bad, Q)
 
 
 def test_project_agrees_with_direct_pseudo_inverse_route():

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from nydmap import (
     run_experiment,
     save_csv,
 )
-from nydmap.runner import _config_lines, main
+from nydmap.runner import _config_from_args, _config_lines, build_parser, main
 
-STAGES = ("kernel", "degrees", "decomposition", "embedding")
+STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
 
 
 def _cfg(tmp_path, **kw):
@@ -118,6 +119,8 @@ def test_run_experiment_structure(tmp_path):
     report = run_experiment(config)
     assert set(report.wall_time_seconds) == set(STAGES)
     assert all(v >= 0.0 for v in report.wall_time_seconds.values())
+    assert report.wall_time_seconds["data"] > 0.0
+    assert report.wall_time_seconds["clustering"] == 0.0
     assert len(report.eigenvalues) == 10
     assert report.eigenvalues == sorted(report.eigenvalues, reverse=True)
     assert report.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
@@ -167,6 +170,10 @@ def test_compare_structure(tmp_path):
     config = _cfg(tmp_path, n=250)
     report = compare_methods(config)
     assert set(report.comparison) == {"nystrom_projection", "nystrom_columns"}
+    # every stage is kept, the per-strategy ones included
+    assert set(report.wall_time_seconds) == set(STAGES) | set(report.comparison)
+    for method, block in report.comparison.items():
+        assert report.wall_time_seconds[method] >= block["decomposition_seconds"]
     block_keys = {
         "decomposition_seconds",
         "embedding_seconds",
@@ -217,6 +224,7 @@ def test_compare_with_clustering(tmp_path):
     report = compare_methods(config)
     assert report.clustering["k"] == 2
     assert report.clustering["inertia"] >= 0.0
+    assert report.wall_time_seconds["clustering"] > 0.0
     out = tmp_path / "out"
     det_header = (out / "embedding_deterministic.csv").read_text().splitlines()[0]
     assert det_header.endswith(",label")
@@ -285,6 +293,56 @@ def test_report_json_rejects_unknown_keys():
     payload["extra"] = 1
     with pytest.raises(DataFormatError):
         ExperimentReport.from_json(json.dumps(payload))
+
+
+def test_every_cli_flag_sets_its_field():
+    argv = [
+        "run",
+        "--dataset", "swiss",
+        "--csv-path", "points.csv",
+        "--csv-skip-header",
+        "--n", "123",
+        "--sigma", "0.7",
+        "--rank", "9",
+        "--t", "2.5",
+        "--method", "nys-rp",
+        "--oversample", "4",
+        "--power-iters", "3",
+        "--seed", "5",
+        "--out", "elsewhere",
+        "--drop-trivial",
+        "--classic-weighting",
+        "--cluster", "3",
+        "--noise-std", "0.01",
+        "--pinv-tol", "1e-10",
+    ]
+    expected = ExperimentConfig(
+        dataset="swiss_roll",
+        csv_path="points.csv",
+        csv_skip_header=True,
+        n=123,
+        sigma=0.7,
+        d=9,
+        t=2.5,
+        method="nystrom_projection",
+        oversampling=4,
+        power_iterations=3,
+        seed=5,
+        output_dir="elsewhere",
+        drop_trivial=True,
+        classic_weighting=True,
+        cluster_k=3,
+        noise_std=0.01,
+        pinv_tolerance=1e-10,
+    )
+    # Every field differs from its default, so a flag that maps nowhere shows.
+    defaults = ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
+    assert _config_from_args(build_parser().parse_args(argv)) == expected
+    # Flags left unset leave every default in place.
+    for command in ("run", "compare"):
+        assert _config_from_args(build_parser().parse_args([command])) == defaults
 
 
 def test_main_success_and_aliases(tmp_path, capsys):
