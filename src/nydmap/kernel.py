@@ -4,6 +4,14 @@ The kernel is kappa(x, y) = exp(-||x - y||^2 / sigma) with sigma a squared
 distance scale.  Everything is computed in row blocks so the degree path
 never holds more than O(n * block_rows) floats, and the full-matrix path
 touches each unordered block pair once.
+
+A block of b-by-m entries needs two (b, m) float buffers whatever the point
+dimension p: squared distances are accumulated one coordinate at a time
+and turned into kernel values in place.  Each entry goes through the same
+operations in the same order whatever the block shape, so the kernel's
+bitwise contracts (exact symmetry, unit diagonal, block-size invariance,
+columns equal to the matrix's columns, degrees equal to its row sums) hold
+by construction.
 """
 
 from dataclasses import dataclass
@@ -69,16 +77,27 @@ class DegreeVector:
 
 
 def _sq_dists(Xa, Xb):
-    # Direct sum of (x_i - y_i)^2.  The expanded |x|^2 + |y|^2 - 2<x,y> form
+    # Direct sum of (x_k - y_k)^2, one coordinate at a time into one
+    # (len(Xa), len(Xb)) buffer.  The expanded |x|^2 + |y|^2 - 2<x,y> form
     # would be faster but loses precision for near-duplicate points and is
-    # not exactly symmetric in floating point; the direct form is both.
-    diff = Xa[:, None, :] - Xb[None, :, :]
-    return np.einsum("abk,abk->ab", diff, diff)
+    # not exactly symmetric in floating point; the direct form is both,
+    # since (x - y)^2 == (y - x)^2 bitwise and every entry sums its p terms
+    # in the same order.
+    out = np.subtract(Xa[:, :1], Xb[:, 0])
+    np.multiply(out, out, out=out)
+    tmp = np.empty_like(out)
+    for k in range(1, Xa.shape[1]):
+        np.subtract(Xa[:, k, None], Xb[:, k], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return out
 
 
 def gaussian_kernel_block(Xa, Xb, sigma):
     """Kernel evaluations between two point sets, exp(-||x-y||^2 / sigma)."""
-    return np.exp(_sq_dists(Xa, Xb) / -sigma)
+    block = _sq_dists(Xa, Xb)
+    np.divide(block, -sigma, out=block)
+    return np.exp(block, out=block)
 
 
 def _check_sigma(sigma):

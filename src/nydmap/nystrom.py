@@ -25,7 +25,6 @@ from .errors import (
     ParameterError,
     RankDeficiencyWarning,
 )
-from .kernel import DegreeVector
 from .spectral import SpectralModel, fix_signs, recover_markov_eigvecs
 
 STRATEGIES = ("uniform_columns", "gaussian_projection")

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
-    DataMatrix,
     LorenzParams,
     generate_helix,
     generate_swiss_roll,
@@ -33,14 +32,10 @@ from .datasets import (
 )
 from .embedding import diffusion_map, kmeans_cluster, relative_embedding_error
 from .errors import (
-    CapacityError,
-    ContractError,
     DataFormatError,
     DegeneracyError,
     DimensionError,
     IndexingError,
-    IntegrationError,
-    NumericError,
     NydmapError,
     ParameterError,
     StageFailure,

@@ -206,10 +206,14 @@ def deterministic_model(K, deg, d, overwrite_kernel=False):
 class DiffusionOperator:
     """Matrix-free block multiply by A = D^-1/2 K D^-1/2.
 
-    Rebuilds kernel row blocks on demand, so a multiply costs a full kernel
-    pass but peak memory stays O(n * block_rows).  This is the multiply
-    provider for the projection sketch when the kernel matrix does not fit
-    or should not be materialized.
+    Rebuilds kernel row blocks on demand, so peak memory stays
+    O(n * block_rows).  K is symmetric, so each multiply evaluates only the
+    upper-triangle block row K[i0:i1, i0:] of every row block and applies
+    it twice, to its own rows and, transposed, to the rows below: about half
+    a kernel pass, (n^2 + n * block_rows) / 2 entries at most.  Products are
+    bitwise repeatable for a fixed block_rows, but their rounding depends on
+    it.  This is the multiply provider for the projection sketch when the
+    kernel matrix does not fit or should not be materialized.
     """
 
     def __init__(self, data, sigma, deg, block_rows=DEFAULT_BLOCK_ROWS):
@@ -234,13 +238,14 @@ class DiffusionOperator:
         if B.shape[0] != n:
             raise DimensionError(f"operand has {B.shape[0]} rows, expected {n}")
         scaled = B * self._inv_root_deg[:, None]
-        out = np.empty((n, B.shape[1]))
+        out = np.zeros((n, B.shape[1]))
         for i0 in range(0, n, self._block_rows):
             i1 = min(i0 + self._block_rows, n)
             block = gaussian_kernel_block(
-                self._points[i0:i1], self._points, self._sigma
+                self._points[i0:i1], self._points[i0:], self._sigma
             )
-            out[i0:i1] = block @ scaled
+            out[i0:i1] += block @ scaled[i0:]
+            out[i1:] += block[:, i1 - i0:].T @ scaled[i0:i1]
         out *= self._inv_root_deg[:, None]
         return out[:, 0] if single else out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nydmap import (
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
-from nydmap.kernel import DegreeVector
+from nydmap.kernel import DegreeVector, gaussian_kernel_block
 
 
 def _random_data(n, p, seed):
@@ -99,8 +100,8 @@ def test_columns_index_validation():
 
 
 def test_degrees_match_materialized_rowsums():
-    for seed in range(4):
-        X = _random_data(200, 3, seed)
+    for seed, p in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 1), (5, 7)):
+        X = _random_data(200, p, seed)
         K = gaussian_kernel_matrix(X, 0.6).values
         deg = degree_vector(X, 0.6).values
         assert np.array_equal(deg, K.sum(axis=1))
@@ -134,10 +135,49 @@ def test_sigma_validation():
 
 
 def test_block_rows_does_not_change_results():
-    X = _random_data(137, 3, 8)
-    K_ref = gaussian_kernel_matrix(X, 0.5, block_rows=137).values
-    for block in (1, 7, 64, 100):
-        assert np.array_equal(gaussian_kernel_matrix(X, 0.5, block_rows=block).values, K_ref)
+    for p in (3, 1, 7):
+        X = _random_data(137, p, 8)
+        K_ref = gaussian_kernel_matrix(X, 0.5, block_rows=137).values
+        for block in (1, 7, 64, 100):
+            assert np.array_equal(gaussian_kernel_matrix(X, 0.5, block_rows=block).values, K_ref)
+
+
+def _einsum_block(Xa, Xb, sigma):
+    # The (b, m, p) difference-tensor form the accumulating kernel replaced.
+    diff = Xa[:, None, :] - Xb[None, :, :]
+    return np.exp(np.einsum("abk,abk->ab", diff, diff) / -sigma)
+
+
+def test_block_matches_difference_tensor_reference():
+    # Entries lie in [0, 1] and only the order of the p-term sum differs.
+    tol = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for p in (1, 3, 7):
+        Xa = rng.normal(size=(90, p))
+        Xb = rng.normal(size=(130, p))
+        for a, b in ((Xa, Xb), (np.asfortranarray(Xa), np.asfortranarray(Xb))):
+            block = gaussian_kernel_block(a, b, 0.7)
+            assert block.shape == (90, 130)
+            assert np.abs(block - _einsum_block(Xa, Xb, 0.7)).max() <= tol
+    # column-sliced inputs are strided views
+    wide = rng.normal(size=(100, 9))
+    a, b = wide[:40, 1:8:2], wide[40:, 0:8:2]
+    assert not a.flags.c_contiguous and not b.flags.c_contiguous
+    assert np.abs(gaussian_kernel_block(a, b, 0.7) - _einsum_block(a, b, 0.7)).max() <= tol
+
+
+def test_block_memory_is_two_output_buffers():
+    # 1024 x 6000 at p = 3: the old difference tensor alone was 3 buffers.
+    X = np.random.default_rng(12).normal(size=(6000, 3))
+    rows = X[:1024]
+    tracemalloc.start()
+    try:
+        block = gaussian_kernel_block(rows, X, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1024, 6000)
+    assert peak < 2.5 * 1024 * 6000 * 8
 
 
 def test_oversized_kernel_raises_capacity_error():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -492,3 +494,15 @@ def test_main_argparse_failures():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_package_runs_as_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nydmap", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("nydmap ")
+    assert "RuntimeWarning" not in proc.stderr

@@ -17,6 +17,7 @@ from nydmap import (
     recover_markov_eigvecs,
     symmetric_matrix,
 )
+from nydmap import spectral
 from nydmap.kernel import DegreeVector, KernelMatrix
 from nydmap.spectral import DiffusionOperator, SpectralModel, max_asymmetry
 
@@ -241,6 +242,32 @@ def test_diffusion_operator_matches_dense():
     v = B[:, 0]
     assert op.matmat(v).shape == (200,)
     assert np.array_equal(op @ B, op.matmat(B))
+
+
+def test_diffusion_operator_block_sizes(monkeypatch):
+    n = 137  # prime: no block size below n divides it
+    X, K, deg = _diffusion_parts(n, 3, 9)
+    A = symmetric_matrix(K, deg)
+    B = np.random.default_rng(10).normal(size=(n, 4))
+    entries = []
+    kernel_block = spectral.gaussian_kernel_block
+
+    def counting_block(Xa, Xb, sigma):
+        entries.append(len(Xa) * len(Xb))
+        return kernel_block(Xa, Xb, sigma)
+
+    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
+    for block_rows in (1, 7, 64, n, n + 5):
+        op = DiffusionOperator(X, 0.8, deg, block_rows=block_rows)
+        for operand in (B, B[:, 1]):
+            dense = A @ operand
+            entries.clear()
+            first = op.matmat(operand)
+            # symmetry halves the kernel entries a multiply evaluates
+            assert sum(entries) <= (n * n + n * block_rows) / 2 + n
+            assert first.shape == dense.shape
+            assert np.abs(dense - first).max() <= 1e-13 * np.abs(dense).max()
+            assert np.array_equal(op.matmat(operand), first)
 
 
 def test_diffusion_operator_validation():
