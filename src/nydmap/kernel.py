@@ -1,17 +1,21 @@
 """Gaussian similarity kernel and graph degrees.
 
 The kernel is kappa(x, y) = exp(-||x - y||^2 / sigma) with sigma a squared
-distance scale.  Everything is computed in row blocks so the degree path
-never holds more than O(n * block_rows) floats, and the full-matrix path
-touches each unordered block pair once.
+distance scale.  Everything is computed in row blocks of b rows, where b
+defaults to BLOCK_ENTRIES // n: a block against all n points then holds at
+most BLOCK_ENTRIES float64 values (8 MB) whatever n is.  Blocks that size
+stay below glibc's 32 MB mmap threshold ceiling, so a pass reuses the same
+heap pages for every block instead of faulting in a fresh mapping.  The
+full-matrix path evaluates the upper triangle once, in row strips
+K[i0:i0+b, i0:], about (n^2 + n*b)/2 entries, and mirrors it.
 
 A block of b-by-m entries needs two (b, m) float buffers whatever the point
-dimension p: squared distances are accumulated one coordinate at a time
-and turned into kernel values in place.  Each entry goes through the same
-operations in the same order whatever the block shape, so the kernel's
-bitwise contracts (exact symmetry, unit diagonal, block-size invariance,
-columns equal to the matrix's columns, degrees equal to its row sums) hold
-by construction.
+dimension p, allocated together: squared distances are accumulated one
+coordinate at a time and turned into kernel values in place.  Each entry
+goes through the same operations in the same order whatever the block
+shape, so the kernel's bitwise contracts (exact symmetry, unit diagonal,
+block-size invariance, columns equal to the matrix's columns, degrees equal
+to its row sums) hold by construction.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from .errors import (
     ParameterError,
 )
 
-DEFAULT_BLOCK_ROWS = 1024
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,15 @@ def _sq_dists(Xa, Xb):
     # not exactly symmetric in floating point; the direct form is both,
     # since (x - y)^2 == (y - x)^2 bitwise and every entry sums its p terms
     # in the same order.
-    out = np.subtract(Xa[:, :1], Xb[:, 0])
+    # The result and the scratch buffer are one allocation, freed at once
+    # when the caller drops the block.  glibc raises its mmap threshold to
+    # the first such chunk freed and trims the heap only when more than
+    # twice that is free, so every later block of a pass reuses the same
+    # heap pages; two separate frees can cross the trim threshold and
+    # re-fault up to a block's worth of fresh pages per block.
+    out, tmp = np.empty((2, len(Xa), len(Xb)))
+    np.subtract(Xa[:, :1], Xb[:, 0], out=out)
     np.multiply(out, out, out=out)
-    tmp = np.empty_like(out)
     for k in range(1, Xa.shape[1]):
         np.subtract(Xa[:, k, None], Xb[:, k], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
@@ -105,19 +115,41 @@ def _check_sigma(sigma):
         raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
 
 
-def gaussian_kernel_matrix(X, sigma, block_rows=DEFAULT_BLOCK_ROWS):
+def block_rows_for(n, block_rows=None):
+    """Rows per kernel block for n points.
+
+    ``None`` gives the budget's share, max(1, BLOCK_ENTRIES // n), so a block
+    against all n points holds at most BLOCK_ENTRIES entries; an explicit
+    ``block_rows`` must be an int >= 1.
+    """
+    if block_rows is None:
+        return max(1, BLOCK_ENTRIES // max(n, 1))
+    if (
+        isinstance(block_rows, bool)
+        or not isinstance(block_rows, (int, np.integer))
+        or block_rows < 1
+    ):
+        raise ParameterError(
+            f"block_rows must be an int >= 1 or None, got {block_rows!r}"
+        )
+    return int(block_rows)
+
+
+def gaussian_kernel_matrix(X, sigma, block_rows=None):
     """Build the full n-by-n Gaussian kernel matrix.
 
-    Each unordered block pair is evaluated once and mirrored, so the result
-    is exactly symmetric and the diagonal is exactly 1.
+    Each row strip K[i0:i1, i0:] of the upper triangle is evaluated once
+    and mirrored below the diagonal, so the result is exactly symmetric and
+    the diagonal is exactly 1.
 
     Parameters
     ----------
     X : DataMatrix
     sigma : float
         Kernel width (squared-distance units), > 0.
-    block_rows : int
-        Row block size; bounds the temporary distance buffers.
+    block_rows : int or None
+        Rows per strip; bounds the temporary distance buffers.  None takes
+        BLOCK_ENTRIES // n rows, at most 8 MB per buffer.
 
     Returns
     -------
@@ -130,6 +162,7 @@ def gaussian_kernel_matrix(X, sigma, block_rows=DEFAULT_BLOCK_ROWS):
     """
     _check_sigma(sigma)
     n = X.n
+    rows = block_rows_for(n, block_rows)
     try:
         K = np.empty((n, n))
     except MemoryError as exc:
@@ -137,21 +170,20 @@ def gaussian_kernel_matrix(X, sigma, block_rows=DEFAULT_BLOCK_ROWS):
             f"kernel matrix for n={n} needs {8 * n * n} bytes"
         ) from exc
     values = X.values
-    for i0 in range(0, n, block_rows):
-        i1 = min(i0 + block_rows, n)
-        for j0 in range(i0, n, block_rows):
-            j1 = min(j0 + block_rows, n)
-            block = gaussian_kernel_block(values[i0:i1], values[j0:j1], sigma)
-            K[i0:i1, j0:j1] = block
-            if j0 > i0:
-                K[j0:j1, i0:i1] = block.T
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        block = gaussian_kernel_block(values[i0:i1], values[i0:], sigma)
+        K[i0:i1, i0:] = block
+        K[i1:, i0:i1] = block[:, i1 - i0:].T
     return KernelMatrix(K, sigma)
 
 
-def gaussian_kernel_columns(X, sigma, J, block_rows=DEFAULT_BLOCK_ROWS):
+def gaussian_kernel_columns(X, sigma, J, block_rows=None):
     """Columns J of the Gaussian kernel matrix without building the matrix.
 
     J must contain unique indices in [0, n).  Column order follows J.
+    ``block_rows`` is as for gaussian_kernel_matrix; the default is sized
+    from n, so a block never exceeds BLOCK_ENTRIES entries.
     """
     _check_sigma(sigma)
     n = X.n
@@ -164,24 +196,27 @@ def gaussian_kernel_columns(X, sigma, J, block_rows=DEFAULT_BLOCK_ROWS):
         raise IndexingError(f"column index out of range [0, {n})")
     if np.unique(J).size != J.size:
         raise IndexingError("J contains repeated indices")
+    rows = block_rows_for(n, block_rows)
     anchors = X.values[J]
     cols = np.empty((n, J.size))
-    for i0 in range(0, n, block_rows):
-        i1 = min(i0 + block_rows, n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         cols[i0:i1] = gaussian_kernel_block(X.values[i0:i1], anchors, sigma)
     return cols
 
 
-def degree_vector(X, sigma, block_rows=DEFAULT_BLOCK_ROWS):
+def degree_vector(X, sigma, block_rows=None):
     """Exact kernel row sums, streamed so peak memory is O(n * block_rows).
 
-    Row sums of a materialized kernel matrix reduce over the same contiguous
-    axis in the same order, so both routes agree bitwise.
+    ``block_rows`` is as for gaussian_kernel_matrix.  Row sums of a
+    materialized kernel matrix reduce over the same contiguous axis in the
+    same order, so both routes agree bitwise.
     """
     _check_sigma(sigma)
     n = X.n
+    rows = block_rows_for(n, block_rows)
     deg = np.empty(n)
-    for i0 in range(0, n, block_rows):
-        i1 = min(i0 + block_rows, n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         deg[i0:i1] = gaussian_kernel_block(X.values[i0:i1], X.values, sigma).sum(axis=1)
     return DegreeVector(deg)

@@ -431,13 +431,15 @@ def _config_lines(config):
 
 
 def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
+    """Write the CSVs, spectrum.csv and config.txt, then report.json.
+
+    The time spent on the files before report.json is recorded as the
+    report's ``output`` stage.  On failure every file written is removed.
+    """
     os.makedirs(output_dir, exist_ok=True)
+    start = time.perf_counter()
     written = []
     try:
-        path = os.path.join(output_dir, "report.json")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_json())
-        written.append(path)
         for name, emb, labels in embedding_files:
             path = os.path.join(output_dir, name)
             header = [f"c{i + 1}" for i in range(emb.d)]
@@ -454,6 +456,11 @@ def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
         path = os.path.join(output_dir, "config.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_config_lines(config))
+        written.append(path)
+        report.wall_time_seconds["output"] = time.perf_counter() - start
+        path = os.path.join(output_dir, "report.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(report.to_json())
         written.append(path)
     except BaseException:
         for path in written:

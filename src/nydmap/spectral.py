@@ -14,7 +14,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ContractError, DimensionError, ParameterError
-from .kernel import DEFAULT_BLOCK_ROWS, DegreeVector, gaussian_kernel_block
+from .kernel import DegreeVector, block_rows_for, gaussian_kernel_block
 
 METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
@@ -87,30 +87,37 @@ def markov_matrix(K, deg):
     return K.values / deg.values[:, None]
 
 
-def symmetric_matrix(K, deg, overwrite=False, block_rows=DEFAULT_BLOCK_ROWS):
+def symmetric_matrix(K, deg, overwrite=False, block_rows=None):
     """Symmetric operator A with A[i, j] = K[i, j] / sqrt(deg[i] * deg[j]).
 
     The denominator is formed as the product sqrt(deg[i]) * sqrt(deg[j]),
     which is commutative, so A is exactly as symmetric as K.  With
     ``overwrite=True`` the kernel buffer is normalized in place and the
     KernelMatrix must not be used afterwards; this halves peak memory for
-    large n.
+    large n.  ``block_rows`` bounds the row blocks of the temporary
+    denominators; None sizes them from kernel.BLOCK_ENTRIES.
     """
     if deg.n != K.n:
         raise DimensionError(f"degree length {deg.n} does not match n={K.n}")
+    rows = block_rows_for(K.n, block_rows)
     root = np.sqrt(deg.values)
     out = K.values if overwrite else np.empty_like(K.values)
-    for i0 in range(0, K.n, block_rows):
-        i1 = min(i0 + block_rows, K.n)
+    for i0 in range(0, K.n, rows):
+        i1 = min(i0 + rows, K.n)
         np.divide(K.values[i0:i1], root[i0:i1, None] * root[None, :], out=out[i0:i1])
     return out
 
 
-def max_asymmetry(A, block_rows=DEFAULT_BLOCK_ROWS):
-    """max |A - A^T|, computed in row blocks to avoid an n*n temporary."""
+def max_asymmetry(A, block_rows=None):
+    """max |A - A^T|, computed in row blocks to avoid an n*n temporary.
+
+    ``block_rows`` as for symmetric_matrix.
+    """
+    n = A.shape[0]
+    rows = block_rows_for(n, block_rows)
     worst = 0.0
-    for i0 in range(0, A.shape[0], block_rows):
-        i1 = min(i0 + block_rows, A.shape[0])
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         worst = max(worst, float(np.abs(A[i0:i1, :] - A[:, i0:i1].T).max()))
     return worst
 
@@ -206,17 +213,19 @@ def deterministic_model(K, deg, d, overwrite_kernel=False):
 class DiffusionOperator:
     """Matrix-free block multiply by A = D^-1/2 K D^-1/2.
 
-    Rebuilds kernel row blocks on demand, so peak memory stays
-    O(n * block_rows).  K is symmetric, so each multiply evaluates only the
-    upper-triangle block row K[i0:i1, i0:] of every row block and applies
-    it twice, to its own rows and, transposed, to the rows below: about half
-    a kernel pass, (n^2 + n * block_rows) / 2 entries at most.  Products are
-    bitwise repeatable for a fixed block_rows, but their rounding depends on
-    it.  This is the multiply provider for the projection sketch when the
-    kernel matrix does not fit or should not be materialized.
+    Rebuilds kernel row blocks of b rows on demand, so peak memory stays
+    O(n * b); by default b = BLOCK_ENTRIES // n (kernel.block_rows_for), at
+    most 8 MB per block whatever n is.  K is symmetric, so each multiply
+    evaluates only the upper-triangle block row K[i0:i1, i0:] of every row
+    block and applies it twice, to its own rows and, transposed, to the
+    rows below: about half a kernel pass, (n^2 + n * b) / 2 entries at
+    most.  Products are bitwise repeatable for a given b, hence for a
+    given n with the default, but their rounding depends on b.  This is
+    the multiply provider for the projection sketch when the kernel matrix
+    does not fit or should not be materialized.
     """
 
-    def __init__(self, data, sigma, deg, block_rows=DEFAULT_BLOCK_ROWS):
+    def __init__(self, data, sigma, deg, block_rows=None):
         if not sigma > 0.0:
             raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
         if deg.n != data.n:
@@ -226,7 +235,7 @@ class DiffusionOperator:
         self._points = data.values
         self._sigma = float(sigma)
         self._inv_root_deg = 1.0 / np.sqrt(deg.values)
-        self._block_rows = int(block_rows)
+        self._block_rows = block_rows_for(data.n, block_rows)
         self.shape = (data.n, data.n)
 
     def matmat(self, B):
@@ -246,6 +255,7 @@ class DiffusionOperator:
             )
             out[i0:i1] += block @ scaled[i0:]
             out[i1:] += block[:, i1 - i0:].T @ scaled[i0:i1]
+            del block  # free it before the next block is allocated
         out *= self._inv_root_deg[:, None]
         return out[:, 0] if single else out
 

@@ -15,7 +15,9 @@ from nydmap import (
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
-from nydmap.kernel import DegreeVector, gaussian_kernel_block
+from nydmap import kernel, spectral
+from nydmap.kernel import BLOCK_ENTRIES, DegreeVector, gaussian_kernel_block
+from nydmap.spectral import DiffusionOperator, max_asymmetry, symmetric_matrix
 
 
 def _random_data(n, p, seed):
@@ -140,6 +142,77 @@ def test_block_rows_does_not_change_results():
         K_ref = gaussian_kernel_matrix(X, 0.5, block_rows=137).values
         for block in (1, 7, 64, 100):
             assert np.array_equal(gaussian_kernel_matrix(X, 0.5, block_rows=block).values, K_ref)
+
+
+def test_bad_block_rows_raise_parameter_error():
+    X = _random_data(40, 2, 13)
+    K = gaussian_kernel_matrix(X, 0.5)
+    deg = degree_vector(X, 0.5)
+    calls = (
+        lambda b: gaussian_kernel_matrix(X, 0.5, block_rows=b),
+        lambda b: gaussian_kernel_columns(X, 0.5, np.array([0, 3]), block_rows=b),
+        lambda b: degree_vector(X, 0.5, block_rows=b),
+        lambda b: symmetric_matrix(K, deg, block_rows=b),
+        lambda b: max_asymmetry(K.values, block_rows=b),
+        lambda b: DiffusionOperator(X, 0.5, deg, block_rows=b),
+    )
+    for call in calls:
+        for bad in (0, -1, -2, -3, 2.5, 4.0, "4", True):
+            with pytest.raises(ParameterError):
+                call(bad)
+        call(np.int64(3))
+
+
+def test_default_blocks_split_large_n(monkeypatch):
+    n = 2003  # prime, and above BLOCK_ENTRIES // n rows: several blocks
+    X = _random_data(n, 3, 14)
+    K_one_block = gaussian_kernel_matrix(X, 0.5, block_rows=n).values
+    entries = []
+
+    def counting_block(Xa, Xb, sigma):
+        entries.append(len(Xa) * len(Xb))
+        return gaussian_kernel_block(Xa, Xb, sigma)
+
+    monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
+    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
+    deg = degree_vector(X, 0.5)
+    K = gaussian_kernel_matrix(X, 0.5).values
+    J = np.random.default_rng(15).choice(n, size=60, replace=False)
+    cols = gaussian_kernel_columns(X, 0.5, J)
+    DiffusionOperator(X, 0.5, deg).matmat(np.ones((n, 2)))
+    blocks = -(-n // (BLOCK_ENTRIES // n))
+    assert blocks > 1 and len(entries) == 4 * blocks
+    assert max(entries) <= BLOCK_ENTRIES
+
+    assert np.array_equal(deg.values, K.sum(axis=1))
+    assert np.array_equal(K, K_one_block)
+    assert np.abs(K - K.T).max() == 0.0
+    assert np.all(np.diag(K) == 1.0)
+    assert np.array_equal(cols, K[:, J])
+
+
+def test_default_blocks_bound_peak_memory():
+    # The budget caps each block at 8 MB; a 1024-row block was 47 MB here.
+    n = 6000
+    X = _random_data(n, 3, 16)
+    budget = BLOCK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        deg = degree_vector(X, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * budget + 8 * n
+    op = DiffusionOperator(X, 0.5, deg)
+    B = np.random.default_rng(17).normal(size=(n, 110))
+    tracemalloc.start()
+    try:
+        out = op.matmat(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == B.shape
+    assert peak < 3 * budget + 3 * B.nbytes
 
 
 def _einsum_block(Xa, Xb, sigma):

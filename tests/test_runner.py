@@ -21,7 +21,7 @@ from nydmap import (
 )
 from nydmap.runner import _config_from_args, _config_lines, build_parser, main
 
-STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
+STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering", "output")
 
 
 def _cfg(tmp_path, **kw):
@@ -123,6 +123,7 @@ def test_run_experiment_structure(tmp_path):
     assert all(v >= 0.0 for v in report.wall_time_seconds.values())
     assert report.wall_time_seconds["data"] > 0.0
     assert report.wall_time_seconds["clustering"] == 0.0
+    assert report.wall_time_seconds["output"] > 0.0
     assert len(report.eigenvalues) == 10
     assert report.eigenvalues == sorted(report.eigenvalues, reverse=True)
     assert report.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
@@ -136,6 +137,7 @@ def test_run_experiment_structure(tmp_path):
     assert "relative_error" not in payload and "comparison" not in payload
     loaded = load_report(str(out / "report.json"))
     assert loaded.config == report.config
+    assert loaded.wall_time_seconds == report.wall_time_seconds
     assert loaded.eigenvalues == report.eigenvalues
 
     lines = (out / "embedding.csv").read_text().splitlines()
@@ -174,6 +176,7 @@ def test_compare_structure(tmp_path):
     assert set(report.comparison) == {"nystrom_projection", "nystrom_columns"}
     # every stage is kept, the per-strategy ones included
     assert set(report.wall_time_seconds) == set(STAGES) | set(report.comparison)
+    assert report.wall_time_seconds["output"] > 0.0
     for method, block in report.comparison.items():
         assert report.wall_time_seconds[method] >= block["decomposition_seconds"]
     block_keys = {
