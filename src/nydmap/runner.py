@@ -438,30 +438,32 @@ def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
     """
     os.makedirs(output_dir, exist_ok=True)
     start = time.perf_counter()
+    # Each path is recorded before its file is opened, so a write that
+    # fails part-way still removes its half-written file.
     written = []
     try:
         for name, emb, labels in embedding_files:
             path = os.path.join(output_dir, name)
+            written.append(path)
             header = [f"c{i + 1}" for i in range(emb.d)]
             values = emb.coords
             if labels is not None:
                 header.append("label")
                 values = np.column_stack((emb.coords, labels.labels))
             save_csv(path, values, header)
-            written.append(path)
         if spectra is not None:
             path = os.path.join(output_dir, "spectrum.csv")
-            _write_spectrum_csv(path, spectra)
             written.append(path)
+            _write_spectrum_csv(path, spectra)
         path = os.path.join(output_dir, "config.txt")
+        written.append(path)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_config_lines(config))
-        written.append(path)
         report.wall_time_seconds["output"] = time.perf_counter() - start
         path = os.path.join(output_dir, "report.json")
+        written.append(path)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.to_json())
-        written.append(path)
     except BaseException:
         for path in written:
             try:

@@ -9,6 +9,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from nydmap import (
     DataMatrix,
@@ -162,6 +163,7 @@ def _available_memory_bytes():
     return None
 
 
+@pytest.mark.slow
 def test_criterion_5_speedup(acceptance_log, tmp_path):
     available = _available_memory_bytes()
     needed = int(15000 * 15000 * 8 * 1.35 + 7e8)
@@ -211,6 +213,7 @@ def test_criterion_5_speedup(acceptance_log, tmp_path):
     _verdict(acceptance_log, 5, "decomposition speedup", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_6_markov_invariants(acceptance_log):
     rng = np.random.default_rng(2026)
     worst_row = 0.0

@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from nydmap import (
     save_csv,
     subsample_rows,
 )
+from nydmap.datasets import CSV_CHUNK_VALUES
 
 
 def test_helix_zero_noise_lies_on_manifold():
@@ -199,12 +203,106 @@ def test_load_csv_empty(tmp_path):
 
 
 def test_csv_roundtrip_is_exact(tmp_path):
-    X = generate_helix(50, noise_std=0.05, seed=2).values
+    X = generate_helix(50, noise_std=0.05, seed=2).values.copy()
+    X[::7, 0] = -0.0
+    X[3::7, 1] = 0.0
     path = tmp_path / "helix.csv"
     save_csv(path, X)
     back = load_csv(path).values
-    # 17 significant digits round-trip float64 exactly.
-    assert np.array_equal(back, X)
+    # 17 significant digits round-trip float64 exactly, the sign of zero too.
+    assert np.array_equal(back.view(np.uint64), X.view(np.uint64))
+
+
+def _savetxt_bytes(values):
+    buf = io.BytesIO()
+    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _save_csv_bytes(tmp_path, values, header=None):
+    path = tmp_path / "values.csv"
+    save_csv(path, values, header=header)
+    return path.read_bytes()
+
+
+def _adversarial_values():
+    rng = np.random.default_rng(23)
+    # Every exponent, subnormals, nan and +-inf.
+    bits = rng.integers(0, 2**64, size=30000, dtype=np.uint64).view(np.float64)
+    # Short binary fractions m * 2**-k: exact decimal ties at 17 digits.
+    ties = rng.integers(1, 2**20, size=8000) * 2.0 ** -rng.integers(1, 80, size=8000)
+    tens = np.array([float(f"1e{e}") for e in range(-330, 309)])
+    tens = np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    labels = rng.integers(0, 9, size=2000).astype(float)
+    signed = np.concatenate([ties, tens, twos, labels, [0.0]])
+    return np.concatenate([bits, signed, -signed])
+
+
+def test_save_csv_bytes_match_savetxt(tmp_path):
+    rng = np.random.default_rng(29)
+    pool = _adversarial_values()
+    for cols in (1, 7, 301):
+        # Several full chunks, then a ragged one.
+        chunk_rows = max(1, CSV_CHUNK_VALUES // cols)
+        full = max(3, pool.size // (chunk_rows * cols))
+        rows = full * chunk_rows + chunk_rows // 2 + 1
+        values = np.resize(rng.permutation(pool), (rows, cols))
+        expected = _savetxt_bytes(values)
+        assert _save_csv_bytes(tmp_path, values) == expected
+        assert _save_csv_bytes(tmp_path, np.asfortranarray(values)) == expected
+    wide = np.resize(rng.permutation(pool), (60, 14))
+    sliced = wide[:, 1::2]
+    assert not sliced.flags.c_contiguous
+    assert _save_csv_bytes(tmp_path, sliced) == _savetxt_bytes(sliced)
+    finite = pool[np.isfinite(pool)]
+    data = DataMatrix(np.resize(rng.permutation(finite), (500, 3)))
+    assert _save_csv_bytes(tmp_path, data, ["a", "b", "c"]) == (
+        b"a,b,c\n" + _savetxt_bytes(data.values)
+    )
+
+
+def test_save_csv_exponent_boundaries_and_ties(tmp_path):
+    cases = [
+        # log10 says -280; the value lies below 1e-280.
+        (float("1e-280"), b"9.9999999999999996e-281"),
+        # At exponent -4 the 17-digit significand would round up to 1e16.
+        (9.999999999999999e-05, b"9.9999999999999991e-05"),
+        # True 17-digit ties round to even: down here, up in the next.
+        (2.0**-25, b"2.9802322387695312e-08"),
+        (11 * 2.0**-23, b"1.3113021850585938e-06"),
+        (0.0, b"0"),
+        (-0.0, b"-0"),
+        (3.0, b"3"),
+        (-1e16, b"-10000000000000000"),
+        (1e17, b"1e+17"),
+        (1e-5, b"1.0000000000000001e-05"),
+        (0.0001, b"0.0001"),
+        (1.5e300, b"1.5000000000000001e+300"),
+        (float("nan"), b"nan"),
+        (float("-inf"), b"-inf"),
+    ]
+    for value, text in cases:
+        assert ("%.17g" % value).encode() == text
+    values = np.array([[v for v, _ in cases]])
+    expected = b",".join(text for _, text in cases) + b"\n"
+    assert _save_csv_bytes(tmp_path, values) == expected
+
+
+def test_save_csv_memory_does_not_grow_with_rows(tmp_path):
+    path = tmp_path / "big.csv"
+    save_csv(path, np.ones((2, 2)))  # lookup tables are built on first use
+    values = np.random.default_rng(31).normal(size=(15000, 301))
+    tracemalloc.start()
+    try:
+        save_csv(path, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A fixed bound, a small fraction of the 91 MB written; formatting the
+    # whole matrix at once would take more than the file itself.
+    assert peak < 1024 * CSV_CHUNK_VALUES
+    assert peak * 20 < path.stat().st_size
 
 
 def test_save_csv_with_header(tmp_path):

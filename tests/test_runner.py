@@ -290,6 +290,45 @@ def test_partial_outputs_removed_on_write_failure(tmp_path, monkeypatch):
     assert os.listdir(out) == []
 
 
+class _HalfWriter:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("target", ["embedding.csv", "report.json"])
+def test_half_written_output_removed_on_write_failure(tmp_path, monkeypatch, target):
+    def half_save_csv(path, values, header=None):
+        with open(path, "wb") as fh:
+            fh.write(b"c1,c2\n0.5,")
+        raise OSError("disk full")
+
+    def half_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _HalfWriter(fh) if os.path.basename(path) == target else fh
+
+    if target == "embedding.csv":
+        monkeypatch.setattr("nydmap.runner.save_csv", half_save_csv)
+    else:
+        monkeypatch.setattr("nydmap.runner.open", half_open, raising=False)
+    config = _cfg(tmp_path, n=120, d=4, oversampling=4)
+    with pytest.raises(OSError):
+        run_experiment(config)
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_report_json_rejects_unknown_keys():
     report = ExperimentReport(
         config={}, wall_time_seconds={}, eigenvalues=[], effective_rank=0, warnings=[]
