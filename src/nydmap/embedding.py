@@ -169,10 +169,9 @@ def relative_embedding_error(ref, approx):
     return num / denom
 
 
-def _sq_dists_to_centers(coords, centers):
+def _sq_dists_to_centers(coords, x2, centers):
     # Expanded form is fine here: k-means only needs argmin, not exact
-    # symmetric distances.
-    x2 = np.einsum("ij,ij->i", coords, coords)
+    # symmetric distances.  x2 holds the squared row norms of coords.
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = x2[:, None] + c2[None, :] - 2.0 * (coords @ centers.T)
     np.maximum(d2, 0.0, out=d2)
@@ -219,10 +218,12 @@ def kmeans_cluster(emb, k, seed=0, max_iters=100):
     rng = np.random.default_rng(seed)
     centers = _plus_plus_centers(coords, k, rng)
     rows = np.arange(n)
+    x2 = np.einsum("ij,ij->i", coords, coords)
+    onehot = np.zeros((k, n))
     labels = None
     history = []
     for _ in range(max_iters):
-        d2 = _sq_dists_to_centers(coords, centers)
+        d2 = _sq_dists_to_centers(coords, x2, centers)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
         for c in range(k):
@@ -236,10 +237,12 @@ def kmeans_cluster(emb, k, seed=0, max_iters=100):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            # A cluster that reseeding could not fill keeps its center; the
-            # ClusterLabels constructor reports the degeneracy at the end.
-            if np.any(members):
-                centers[c] = coords[members].mean(axis=0)
+        # Every center is its members' mean, from one product.  A cluster
+        # that reseeding could not fill keeps its center; the ClusterLabels
+        # constructor reports the degeneracy at the end.
+        onehot.fill(0.0)
+        onehot[labels, rows] = 1.0
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        centers[filled] = (onehot @ coords)[filled] / counts[filled, None]
     return ClusterLabels(labels, k, history[-1], np.array(history))

@@ -40,7 +40,13 @@ from .errors import (
     ParameterError,
     StageFailure,
 )
-from .kernel import DegreeVector, degree_vector, gaussian_kernel_columns, gaussian_kernel_matrix
+from .kernel import (
+    DegreeVector,
+    block_rows_for,
+    degree_vector,
+    gaussian_kernel_columns,
+    gaussian_kernel_matrix,
+)
 from .nystrom import SketchConfig, gaussian_sketch_basis, nystrom_eigs, project, sample_columns
 from .spectral import (
     METHODS,
@@ -217,16 +223,22 @@ def _decompose(config, method, X, deg, A=None):
 
     ``A`` may pass in an already materialized symmetric operator (the
     comparison harness reuses the reference's buffer); otherwise the
-    projection path multiplies in row blocks and column sampling streams
-    kernel columns, so neither ever materializes an n-by-n matrix.
+    projection path multiplies in row blocks, so it never materializes an
+    n-by-n matrix.  Column sampling fetches only its pivot columns and
+    takes the degrees from its factor, ignoring ``deg``; the model's
+    ``degrees`` holds them.
     """
     if method == "nystrom_columns":
-        sketch = config.sketch_config("uniform_columns")
-        factors, _ = sample_columns(
-            lambda J: gaussian_kernel_columns(X, config.sigma, J),
-            deg,
+        sketch = config.sketch_config("pivoted_columns")
+        # Row blocks sized for the pivot block, not for n columns.
+        factors, deg, _ = sample_columns(
+            lambda J: gaussian_kernel_columns(
+                X, config.sigma, J, block_rows=block_rows_for(len(J))
+            ),
+            X.n,
             sketch.sketch_size,
             sketch.seed,
+            sketch.pinv_tolerance,
         )
         return nystrom_eigs(factors, sketch.target_rank_d, deg, sketch.pinv_tolerance)
     sketch = config.sketch_config("gaussian_projection")
@@ -291,7 +303,11 @@ def run_experiment(config):
                 lambda: deterministic_model(K, deg, config.d, overwrite_kernel=True),
             )
         else:
-            deg, _ = clock.run("degrees", lambda: degree_vector(X, config.sigma))
+            # Column sampling takes its degrees from its factor, so its
+            # degrees stage reads 0.0.
+            deg = None
+            if config.method == "nystrom_projection":
+                deg, _ = clock.run("degrees", lambda: degree_vector(X, config.sigma))
             model, _ = clock.run(
                 "decomposition", lambda: _decompose(config, config.method, X, deg)
             )
@@ -326,8 +342,10 @@ def compare_methods(config):
     All methods share the same dataset, kernel and degrees.  The symmetric
     operator is materialized once; the deterministic solver and the
     projection sketch both consume it, so the decomposition timings compare
-    arithmetic, not memory strategy.  Column sampling streams its kernel
-    columns exactly as it would standalone.
+    arithmetic, not memory strategy.  Column sampling fetches its pivot
+    columns and takes its degrees from its factor exactly as it would
+    standalone; ``comparison["nystrom_columns"]["degree_rel_err"]`` is the
+    largest relative error of those degrees against the exact ones.
 
     The report's top-level fields describe the deterministic reference;
     ``comparison[strategy]`` holds timings, speedups, eigenvalues and the
@@ -371,6 +389,10 @@ def compare_methods(config):
                 "effective_rank": model.rank_d,
                 "eigenvalues": [float(v) for v in model.eigenvalues],
             }
+            if method == "nystrom_columns":
+                comparison[method]["degree_rel_err"] = float(
+                    np.max(np.abs(model.degrees.values - deg.values) / deg.values)
+                )
             spectra[method] = model.eigenvalues
             embeddings[method] = (emb, None)
         labels = None
@@ -587,7 +609,7 @@ def _add_common_flags(parser, include_method):
         "--pinv-tol",
         dest="pinv_tolerance",
         type=float,
-        help="relative pseudo-inverse cutoff",
+        help="relative pseudo-inverse cutoff and column-pivoting tolerance",
     )
     parser.add_argument("--config", help="key = value config file (overrides flags)")
 

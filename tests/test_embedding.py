@@ -18,6 +18,7 @@ from nydmap import (
     kmeans_cluster,
     relative_embedding_error,
 )
+from nydmap import embedding
 from nydmap.embedding import ClusterLabels
 from nydmap.kernel import DegreeVector
 from nydmap.spectral import SpectralModel
@@ -224,6 +225,69 @@ def test_kmeans_inertia_never_increases():
         coords = np.random.default_rng(seed).normal(size=(60, 2))
         res = kmeans_cluster(_flat_embedding(coords), 5, seed=seed)
         assert np.all(np.diff(res.inertia_history) <= 1e-12)
+
+
+def _reference_kmeans(coords, k, seed, max_iters=100):
+    """Lloyd's loop with per-iteration norms and per-cluster mean copies.
+
+    The straightforward form of kmeans_cluster, kept as an oracle for its
+    labels and inertia history; also counts the empty-cluster reseeds.
+    """
+    n = coords.shape[0]
+    centers = embedding._plus_plus_centers(coords, k, np.random.default_rng(seed))
+    rows = np.arange(n)
+    labels = None
+    history = []
+    reseeds = 0
+    for _ in range(max_iters):
+        x2 = np.einsum("ij,ij->i", coords, coords)
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        d2 = np.maximum(x2[:, None] + c2[None, :] - 2.0 * (coords @ centers.T), 0.0)
+        new_labels = d2.argmin(axis=1)
+        closest = d2[rows, new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                reseeds += 1
+                centers[c] = coords[int(np.argmax(closest))]
+                d2[:, c] = ((coords - centers[c]) ** 2).sum(axis=1)
+                new_labels = d2.argmin(axis=1)
+                closest = d2[rows, new_labels]
+        history.append(float(closest.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            if np.any(labels == c):
+                centers[c] = coords[labels == c].mean(axis=0)
+    return labels, np.array(history), reseeds
+
+
+def test_kmeans_matches_reference_loop(monkeypatch):
+    rng = np.random.default_rng(21)
+    coords = np.vstack([rng.normal(size=(400, 5)) + 3.0 * c for c in range(6)])
+    emb = _flat_embedding(coords)
+    for seed in range(3):
+        got = kmeans_cluster(emb, 8, seed=seed)
+        labels, history, _ = _reference_kmeans(coords, 8, seed)
+        assert np.array_equal(got.labels, labels)
+        np.testing.assert_allclose(got.inertia_history, history, rtol=1e-12, atol=0.0)
+
+    # A start with one center far from every point leaves its cluster
+    # empty on the first pass, so the reseed path runs.
+    plus_plus = embedding._plus_plus_centers
+
+    def with_far_center(coords, k, rng):
+        centers = plus_plus(coords, k, rng)
+        centers[-1] = 1e3
+        return centers
+
+    monkeypatch.setattr(embedding, "_plus_plus_centers", with_far_center)
+    for seed in range(3):
+        got = kmeans_cluster(emb, 8, seed=seed)
+        labels, history, reseeds = _reference_kmeans(coords, 8, seed)
+        assert reseeds >= 1
+        assert np.array_equal(got.labels, labels)
+        np.testing.assert_allclose(got.inertia_history, history, rtol=1e-12, atol=0.0)
 
 
 def test_kmeans_degenerate_when_fewer_distinct_points_than_k():

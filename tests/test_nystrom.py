@@ -1,3 +1,6 @@
+import contextlib
+import time
+
 import numpy as np
 import pytest
 
@@ -57,47 +60,110 @@ def test_sketch_config_validation():
 def test_factors_validation():
     C = np.zeros((10, 3))
     with pytest.raises(DimensionError):
-        NystromFactors(C, np.zeros((4, 4)), "uniform_columns")
+        NystromFactors(C, np.zeros((4, 4)), "pivoted_columns")
     W = np.eye(3)
     W[0, 1] = 1e-6
     with pytest.raises(ContractError):
-        NystromFactors(C, W, "uniform_columns")
+        NystromFactors(C, W, "pivoted_columns")
     with pytest.raises(ParameterError):
         NystromFactors(C, np.eye(3), "bogus")
 
 
+def _pivoted(X, sigma, l, seed, tol=1e-12):
+    provider = lambda J: gaussian_kernel_columns(X, sigma, J)
+    return sample_columns(provider, X.n, l, seed, tol)
+
+
 def test_sample_columns_matches_materialized_operator():
-    X, A, deg = _diffusion_A(300, 0)
-    provider = lambda J: gaussian_kernel_columns(X, 0.8, J)
-    factors, J = sample_columns(provider, deg, 50, seed=1)
+    X, _, _ = _diffusion_A(300, 0)
+    K = gaussian_kernel_matrix(X, 0.8).values
+    factors, deg, J = _pivoted(X, 0.8, 50, seed=1)
     assert J.shape == (50,)
-    assert np.all(np.diff(J) > 0) and J.min() >= 0 and J.max() < 300
-    assert np.array_equal(factors.C, A[:, J])
-    assert np.array_equal(factors.W, A[np.ix_(J, J)])
-    assert factors.strategy == "uniform_columns"
+    assert np.unique(J).size == 50 and J.min() >= 0 and J.max() < 300
+    assert factors.strategy == "pivoted_columns"
+    assert np.array_equal(factors.W, np.eye(50))
+    # C = D^-1/2 F with the factor's own degrees deg = F (F^T 1).
+    F = factors.C * np.sqrt(deg.values)[:, None]
+    assert np.allclose(deg.values, F @ F.sum(axis=0), rtol=1e-12, atol=0.0)
+    # The Nystrom approximation interpolates the pivot columns.
+    assert np.abs(F @ F[J].T - K[:, J]).max() <= 1e-12
 
 
 def test_sample_columns_deterministic_and_validated():
-    X, _, deg = _diffusion_A(100, 2)
+    X, _, _ = _diffusion_A(100, 2)
     provider = lambda J: gaussian_kernel_columns(X, 0.8, J)
-    _, J1 = sample_columns(provider, deg, 20, seed=9)
-    _, J2 = sample_columns(provider, deg, 20, seed=9)
-    assert np.array_equal(J1, J2)
+    f1, _, J1 = sample_columns(provider, 100, 20, 9, 1e-12)
+    f2, _, J2 = sample_columns(provider, 100, 20, 9, 1e-12)
+    assert np.array_equal(J1, J2) and np.array_equal(f1.C, f2.C)
     with pytest.raises(ParameterError):
-        sample_columns(provider, deg, 101, seed=0)
+        sample_columns(provider, 100, 101, 0, 1e-12)
+    with pytest.raises(ParameterError):
+        sample_columns(provider, 100, 0, 0, 1e-12)
+    with pytest.raises(ParameterError):
+        sample_columns(provider, 100, 5, 0, 0.0)
     with pytest.raises(DimensionError):
-        sample_columns(lambda J: np.zeros((7, len(J))), deg, 5, seed=0)
+        sample_columns(lambda J: np.zeros((7, len(J))), 100, 5, 0, 1e-12)
 
 
 def test_sample_columns_complete_reconstruction():
-    X, A, deg = _diffusion_A(150, 3, sigma=1.0)
-    provider = lambda J: gaussian_kernel_columns(X, 1.0, J)
-    factors, _ = sample_columns(provider, deg, 150, seed=4)
+    X, A, _ = _diffusion_A(150, 3, sigma=1.0)
+    factors, _, J = _pivoted(X, 1.0, 150, seed=4)
+    assert np.unique(J).size == J.size
     M = psd_inverse_sqrt(factors.W, 1e-12)
     F = factors.C @ M
     recon = F @ F.T
     err = np.linalg.norm(recon - A) / np.linalg.norm(A)
     assert err <= 1e-9
+
+
+@contextlib.contextmanager
+def _ends_quickly():
+    start = time.perf_counter()
+    yield
+    assert time.perf_counter() - start < 1.0
+
+
+def _checked_model(factors, deg, d):
+    model = nystrom_eigs(factors, d, deg)
+    assert deg.values.min() > 0.0
+    assert np.all(np.isfinite(model.eigenvectors_markov))
+    assert model.eigenvalues.max() <= 1.0 + 1e-10
+    return model
+
+
+def test_sample_columns_duplicated_points():
+    base = np.random.default_rng(20).normal(size=(50, 3))
+    X = DataMatrix(np.repeat(base, 20, axis=0))
+    with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
+        factors, deg, J = _pivoted(X, 0.5, 60, seed=0)
+    # One pivot per distinct point: every copy of a chosen point is dropped.
+    assert np.unique(X.values[J], axis=0).shape[0] == J.size <= 50
+    _checked_model(factors, deg, 40)
+
+
+def test_sample_columns_l_equal_to_n():
+    X = generate_helix(400, noise_std=0.05, seed=0)
+    with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
+        factors, deg, J = _pivoted(X, 0.5, 400, seed=0)
+    assert J.size < 400
+    assert np.all(factors.C[:, J.size:] == 0.0)
+    _checked_model(factors, deg, 20)
+
+
+def test_sample_columns_l_above_numerical_rank():
+    X = DataMatrix(np.linspace(0.0, 1.0, 300)[:, None])
+    with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
+        factors, deg, J = _pivoted(X, 10.0, 60, seed=0)
+    assert J.size < 20
+    with pytest.warns(RankDeficiencyWarning, match="effective rank"):
+        model = _checked_model(factors, deg, 50)
+    assert model.rank_d <= J.size
+
+
+def test_sample_columns_near_identity_kernel():
+    X = generate_helix(2000, noise_std=0.05, seed=0)
+    with _ends_quickly(), pytest.raises(DegeneracyError, match=r"leaves \d+ of 2000 points"):
+        _pivoted(X, 1e-4, 60, seed=0)
 
 
 def test_sketch_basis_orthonormal_on_identity():
@@ -237,7 +303,7 @@ def test_nystrom_eigs_exact_on_low_rank():
 
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
-    factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "uniform_columns")
+    factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "pivoted_columns")
     model = nystrom_eigs(factors, n, DegreeVector(np.ones(n)))
     assert model.method == "nystrom_columns"
     assert np.allclose(model.eigenvalues, 3.0, rtol=0.0, atol=1e-12)
@@ -255,7 +321,7 @@ def test_nystrom_eigs_truncates_with_warning():
 
 
 def test_nystrom_eigs_validation():
-    factors = NystromFactors(np.eye(10), np.eye(10), "uniform_columns")
+    factors = NystromFactors(np.eye(10), np.eye(10), "pivoted_columns")
     deg = DegreeVector(np.ones(10))
     with pytest.raises(ParameterError):
         nystrom_eigs(factors, 11, deg)
@@ -265,7 +331,7 @@ def test_nystrom_eigs_validation():
 
 def test_nystrom_diffusion_eigenvalue_bounds():
     X, A, deg = _diffusion_A(300, 9, sigma=0.5)
-    for strategy in ("gaussian_projection", "uniform_columns"):
+    for strategy in ("gaussian_projection", "pivoted_columns"):
         cfg = SketchConfig(target_rank_d=20, oversampling=10, strategy=strategy, seed=2)
         model = sketch_model(
             A, 300, cfg, deg, kernel_columns=lambda J: gaussian_kernel_columns(X, 0.5, J)
@@ -310,7 +376,7 @@ def test_more_power_iterations_do_not_hurt_on_average():
 def test_nystrom_model_bitwise_deterministic():
     X, A, deg = _diffusion_A(200, 11, sigma=0.5)
     provider = lambda J: gaussian_kernel_columns(X, 0.5, J)
-    for strategy in ("gaussian_projection", "uniform_columns"):
+    for strategy in ("gaussian_projection", "pivoted_columns"):
         cfg = SketchConfig(target_rank_d=15, oversampling=5, strategy=strategy, seed=7)
         a = sketch_model(A, 200, cfg, deg, kernel_columns=provider)
         b = sketch_model(A, 200, cfg, deg, kernel_columns=provider)
@@ -322,6 +388,6 @@ def test_nystrom_model_bitwise_deterministic():
 
 def test_sketch_model_needs_column_provider():
     _, A, deg = _diffusion_A(50, 12)
-    cfg = SketchConfig(target_rank_d=5, strategy="uniform_columns")
+    cfg = SketchConfig(target_rank_d=5, strategy="pivoted_columns")
     with pytest.raises(ParameterError):
         sketch_model(A, 50, cfg, deg)
