@@ -9,26 +9,14 @@ the degrees from its factor, but less accurate at equal sketch width.
 
 import numpy as np
 
-from nydmap import (
-    SketchConfig,
-    degree_vector,
-    deterministic_model,
-    gaussian_kernel_columns,
-    gaussian_kernel_matrix,
-    generate_helix,
-    sketch_model,
-    symmetric_matrix,
-)
+from nydmap import decompose, generate_helix
 
 if __name__ == "__main__":
     n = 1200
     sigma = 0.5
     d = 20
     X = generate_helix(n, noise_std=0.05, seed=0)
-    K = gaussian_kernel_matrix(X, sigma)
-    deg = degree_vector(X, sigma)
-    A = symmetric_matrix(K, deg)
-    reference = deterministic_model(K, deg, d).eigenvalues
+    reference = decompose(X, sigma, "deterministic", d).eigenvalues
 
     def max_rel_error(model):
         return float((np.abs(model.eigenvalues - reference) / reference).max())
@@ -38,21 +26,16 @@ if __name__ == "__main__":
     for q in (0, 1, 2):
         errs = []
         for oversampling in (2, 10, 30):
-            config = SketchConfig(
-                target_rank_d=d, oversampling=oversampling, power_iterations_q=q, seed=0
+            model = decompose(
+                X, sigma, "nystrom_projection", d,
+                oversampling=oversampling, power_iterations=q,
             )
-            errs.append(max_rel_error(sketch_model(A, n, config, deg)))
+            errs.append(max_rel_error(model))
         print(f"  q = {q}          " + "  ".join(f"{e:10.2e}" for e in errs))
 
-    config = SketchConfig(
-        target_rank_d=d, oversampling=30, strategy="pivoted_columns", seed=0
-    )
-    columns = sketch_model(
-        None, n, config, None,
-        kernel_columns=lambda J: gaussian_kernel_columns(X, sigma, J),
-    )
+    columns = decompose(X, sigma, "nystrom_columns", d, oversampling=30)
     print(f"\npivoted column sampling at the widest sketch: {max_rel_error(columns):.2e}")
     print("projection needs a handful of extra columns and one or two power")
     print("iterations to hit solver-level accuracy; column sampling trades")
     print("that accuracy for never touching the full operator: it evaluates")
-    print(f"only its {config.sketch_size} pivot columns of the kernel, degrees included")
+    print(f"only its {d + 30} pivot columns of the kernel, degrees included")

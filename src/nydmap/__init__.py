@@ -9,15 +9,10 @@ columns weighted with sqrt(lambda^t).
 
 Typical use::
 
-    from nydmap import (
-        generate_helix, gaussian_kernel_matrix, degree_vector,
-        deterministic_model, diffusion_map,
-    )
+    from nydmap import decompose, diffusion_map, generate_helix
 
     X = generate_helix(2000, noise_std=0.05, seed=0)
-    K = gaussian_kernel_matrix(X, sigma=0.5)
-    deg = degree_vector(X, sigma=0.5)
-    model = deterministic_model(K, deg, d=50)
+    model = decompose(X, sigma=0.5, method="nystrom_projection", d=50)
     emb = diffusion_map(model, t=1.0)
 
 The ``nydmap`` console script exposes the benchmark harness; see
@@ -69,18 +64,17 @@ from .kernel import (
 )
 from .nystrom import (
     NystromFactors,
-    SketchConfig,
     gaussian_sketch_basis,
     nystrom_eigs,
     project,
     psd_inverse_sqrt,
     sample_columns,
-    sketch_model,
 )
 from .runner import (
     ExperimentConfig,
     ExperimentReport,
     compare_methods,
+    decompose,
     load_config_file,
     load_report,
     run_experiment,
@@ -118,10 +112,10 @@ __all__ = [
     "NystromFactors",
     "ParameterError",
     "RankDeficiencyWarning",
-    "SketchConfig",
     "SpectralModel",
     "StageFailure",
     "compare_methods",
+    "decompose",
     "degree_vector",
     "deterministic_model",
     "diffusion_distance",
@@ -149,7 +143,6 @@ __all__ = [
     "run_experiment",
     "sample_columns",
     "save_csv",
-    "sketch_model",
     "subsample_rows",
     "symmetric_matrix",
 ]

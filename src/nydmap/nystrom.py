@@ -11,7 +11,8 @@ Two ways to build the factors of A ~= C W^-1 C^T:
 
 Eigenpairs are recovered through F = C W^-1/2 and its thin SVD: the squared
 singular values of F approximate the eigenvalues of A and the left singular
-vectors approximate its eigenvectors.
+vectors approximate its eigenvectors.  ``runner.decompose`` runs either
+sketch, or the exact solve, from data to SpectralModel.
 """
 
 import warnings
@@ -30,8 +31,6 @@ from .errors import (
 from .kernel import DegreeVector
 from .spectral import SpectralModel, fix_signs, recover_markov_eigvecs
 
-STRATEGIES = ("pivoted_columns", "gaussian_projection")
-
 # The pivoted Cholesky column sampler draws its l pivots in about this
 # many rounds of ceil(l / PIVOT_ROUNDS).  Its first round is a uniform draw
 # and larger blocks adapt less: at n = 6000, l = 110, blocks of 32 (four
@@ -39,59 +38,18 @@ STRATEGIES = ("pivoted_columns", "gaussian_projection")
 # of 10.
 PIVOT_ROUNDS = 12
 
-_METHOD_TAG = {
-    "pivoted_columns": "nystrom_columns",
-    "gaussian_projection": "nystrom_projection",
-}
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Parameters of a randomized factorization.
-
-    The sketch uses l = target_rank_d + oversampling columns; l must not
-    exceed n (checked where n is known).  pinv_tolerance is the relative
-    eigenvalue cutoff used when (pseudo-)inverting W; pivoted column
-    sampling also uses it as its stopping tolerance (see sample_columns).
-    """
-
-    target_rank_d: int
-    oversampling: int = 10
-    power_iterations_q: int = 2
-    strategy: str = "gaussian_projection"
-    seed: int = 0
-    pinv_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.target_rank_d < 1:
-            raise ParameterError(f"target rank must be >= 1, got {self.target_rank_d}")
-        if self.oversampling < 0:
-            raise ParameterError(f"oversampling must be >= 0, got {self.oversampling}")
-        if self.power_iterations_q < 0:
-            raise ParameterError(
-                f"power iteration count must be >= 0, got {self.power_iterations_q}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if not 0.0 < self.pinv_tolerance < 1.0:
-            raise ParameterError(
-                f"pinv_tolerance must lie in (0, 1), got {self.pinv_tolerance}"
-            )
-
-    @property
-    def sketch_size(self):
-        return self.target_rank_d + self.oversampling
-
 
 @dataclass(frozen=True)
 class NystromFactors:
-    """Factors C (n-by-l) and W (l-by-l symmetric) of A ~= C W^-1 C^T."""
+    """Factors C (n-by-l) and W (l-by-l symmetric) of A ~= C W^-1 C^T.
+
+    ``method`` is the spectral.METHODS tag of the sketch that built them,
+    ``nystrom_columns`` or ``nystrom_projection``.
+    """
 
     C: np.ndarray
     W: np.ndarray
-    strategy: str
+    method: str
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
@@ -103,14 +61,10 @@ class NystromFactors:
             raise DimensionError(f"W must be {l}x{l} to match C, got {W.shape}")
         if W.size and float(np.abs(W - W.T).max()) > 1e-10:
             raise ContractError("W is not symmetric within 1e-10")
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {self.strategy!r}")
+        if self.method not in ("nystrom_columns", "nystrom_projection"):
+            raise ParameterError(f"unknown sketch method {self.method!r}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "W", W)
-
-    @property
-    def sketch_size(self):
-        return self.C.shape[1]
 
 
 def sample_columns(kernel_columns, n, l, seed, tol):
@@ -192,7 +146,7 @@ def sample_columns(kernel_columns, n, l, seed, tol):
             "(no positive factor degree); widen sigma or enlarge the sketch"
         )
     F /= np.sqrt(deg)[:, None]
-    return NystromFactors(F, np.eye(l), "pivoted_columns"), DegreeVector(deg), np.array(J)
+    return NystromFactors(F, np.eye(l), "nystrom_columns"), DegreeVector(deg), np.array(J)
 
 
 def _pivot_block_cholesky(H, tol):
@@ -299,7 +253,7 @@ def project(A, Q):
     C = A @ Q
     W = Q.T @ C
     W = 0.5 * (W + W.T)
-    return NystromFactors(C, W, "gaussian_projection")
+    return NystromFactors(C, W, "nystrom_projection")
 
 
 def psd_inverse_sqrt(W, tol):
@@ -342,9 +296,9 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
 
     Returns
     -------
-    SpectralModel with method set per the factors' strategy.
+    SpectralModel with the factors' method.
     """
-    l = factors.sketch_size
+    l = factors.C.shape[1]
     if not 1 <= d <= l:
         raise ParameterError(f"need 1 <= d <= sketch size {l}, got d={d}")
     if factors.C.shape[0] != deg.n:
@@ -367,27 +321,4 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
     vals = svals[:keep] ** 2
     vecs = fix_signs(U[:, :keep])
     markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(
-        vals, vecs, markov, deg, _METHOD_TAG[factors.strategy], keep
-    )
-
-
-def sketch_model(A, n, config, deg, kernel_columns=None):
-    """Run a full sketch-to-model pipeline described by a SketchConfig.
-
-    For the projection strategy ``A`` provides the operator products
-    ``A @ block`` (see gaussian_sketch_basis) and ``deg`` the degrees; for
-    column sampling ``kernel_columns`` provides kernel columns and the
-    degrees come from the factor (see sample_columns), so ``A`` and ``deg``
-    are unused.
-    """
-    l = config.sketch_size
-    tol = config.pinv_tolerance
-    if config.strategy == "pivoted_columns":
-        if kernel_columns is None:
-            raise ParameterError("column sampling needs a kernel_columns callback")
-        factors, deg, _ = sample_columns(kernel_columns, n, l, config.seed, tol)
-    else:
-        Q = gaussian_sketch_basis(A, n, l, config.power_iterations_q, config.seed)
-        factors = project(A, Q)
-    return nystrom_eigs(factors, config.target_rank_d, deg, tol)
+    return SpectralModel(vals, vecs, markov, deg, factors.method, keep)

@@ -1,9 +1,11 @@
-"""Benchmark harness and command line interface.
+"""One decomposition entry, the benchmark harness and the command line.
 
+``decompose`` takes data to a SpectralModel by any of spectral.METHODS;
+the library, ``run_experiment`` and ``compare_methods`` all call it.
 ``run_experiment`` executes one pipeline (dataset, kernel/degrees,
 decomposition, embedding) and writes a JSON report plus the embedding CSV.
 ``compare_methods`` runs the deterministic path as reference and both
-Nystrom strategies on the same data, reporting per-strategy speedups and
+Nystrom methods on the same data, reporting per-method speedups and
 relative embedding errors in the shape of a benchmark table row.
 
 The CLI exposes both as subcommands; see the README for flag semantics.
@@ -47,12 +49,12 @@ from .kernel import (
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
-from .nystrom import SketchConfig, gaussian_sketch_basis, nystrom_eigs, project, sample_columns
+from .nystrom import gaussian_sketch_basis, nystrom_eigs, project, sample_columns
 from .spectral import (
     METHODS,
     DiffusionOperator,
     SpectralModel,
-    deterministic_model,
+    deterministic_model,  # not called here: perfbench's tracer wraps this site
     eigendecompose,
     recover_markov_eigvecs,
     symmetric_matrix,
@@ -70,6 +72,9 @@ _METHOD_ALIASES = {
 _CONFIG_ERRORS = (ParameterError, DataFormatError, DimensionError, IndexingError)
 
 _STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
+
+# The ExperimentConfig fields that are decompose's settings.
+_SETTINGS = ("sigma", "d", "oversampling", "power_iterations", "seed", "pinv_tolerance")
 
 
 @dataclass
@@ -120,19 +125,17 @@ class ExperimentConfig:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.cluster_k < 0:
             raise ParameterError(f"cluster_k must be >= 0, got {self.cluster_k}")
-        # Sketch parameters share SketchConfig's validation.
-        self.sketch_config("gaussian_projection")
+        if self.oversampling < 0:
+            raise ParameterError(f"oversampling must be >= 0, got {self.oversampling}")
+        if self.power_iterations < 0:
+            raise ParameterError(
+                f"power_iterations must be >= 0, got {self.power_iterations}"
+            )
+        if not 0.0 < self.pinv_tolerance < 1.0:
+            raise ParameterError(
+                f"pinv_tolerance must lie in (0, 1), got {self.pinv_tolerance}"
+            )
         return self
-
-    def sketch_config(self, strategy):
-        return SketchConfig(
-            target_rank_d=self.d,
-            oversampling=self.oversampling,
-            power_iterations_q=self.power_iterations,
-            strategy=strategy,
-            seed=self.seed,
-            pinv_tolerance=self.pinv_tolerance,
-        )
 
     def to_dict(self):
         return asdict(self)
@@ -150,9 +153,8 @@ class ExperimentConfig:
 class ExperimentReport:
     """Run record: config echo, stage timings, spectrum and diagnostics.
 
-    relative_error is present only when a deterministic reference was
-    computed in the same run; comparison holds the per-strategy benchmark
-    block produced by compare_methods.
+    comparison holds the per-method benchmark block produced by
+    compare_methods.
     """
 
     config: dict
@@ -160,7 +162,6 @@ class ExperimentReport:
     eigenvalues: list
     effective_rank: int
     warnings: list
-    relative_error: float = None
     comparison: dict = None
     clustering: dict = None
 
@@ -218,36 +219,76 @@ class _StageClock:
         return result, elapsed
 
 
-def _decompose(config, method, X, deg, A=None):
-    """One decomposition by the requested method.
+def _sketch_size(n, d, oversampling):
+    l = d + oversampling
+    if l > n:
+        raise ParameterError(f"sketch size d + oversampling = {l} exceeds n = {n}")
+    return l
 
-    ``A`` may pass in an already materialized symmetric operator (the
-    comparison harness reuses the reference's buffer); otherwise the
-    projection path multiplies in row blocks, so it never materializes an
-    n-by-n matrix.  Column sampling fetches only its pivot columns and
-    takes the degrees from its factor, ignoring ``deg``; the model's
-    ``degrees`` holds them.
+
+def _dense_operator(X, sigma, run):
+    """Materialized A and its exact degrees, timed through ``run``."""
+    K, _ = run("kernel", lambda: gaussian_kernel_matrix(X, sigma))
+    # Row sums of the materialized kernel match the streamed degree_vector
+    # bitwise (same per-row reduction).
+    deg, _ = run("degrees", lambda: DegreeVector(K.values.sum(axis=1)))
+    A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
+    return A, deg
+
+
+def decompose(
+    X, sigma, method, d, oversampling=10, power_iterations=2, seed=0,
+    pinv_tolerance=1e-12, A=None, deg=None, clock=None,
+):
+    """Top-d eigenpairs of X's diffusion operator by one of spectral.METHODS.
+
+    The keywords are ExperimentConfig's field names.  ``deterministic``
+    materializes the kernel, takes its row sums as the degrees and solves
+    exactly; ``nystrom_projection`` streams the exact degrees and sketches
+    a matrix-free DiffusionOperator with l = d + oversampling Gaussian
+    columns and ``power_iterations`` subspace-iteration passes;
+    ``nystrom_columns`` fetches only its l pivot kernel columns and takes
+    the degrees from its factor (see sample_columns).  The sketch size is
+    checked against n before any kernel entry is evaluated.
+
+    A materialized symmetric operator ``A`` and its degrees ``deg`` replace
+    the kernel and degree passes (compare_methods shares one between the
+    exact solve and the projection); ``deg`` alone spares the projection
+    its degree pass.  Column sampling ignores both.  With a ``clock`` (a
+    _StageClock) the kernel, degrees and decomposition stages are timed on
+    it and a failure is raised as a StageFailure naming its stage.
+
+    Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
-    if method == "nystrom_columns":
-        sketch = config.sketch_config("pivoted_columns")
-        # Row blocks sized for the pivot block, not for n columns.
-        factors, deg, _ = sample_columns(
-            lambda J: gaussian_kernel_columns(
-                X, config.sigma, J, block_rows=block_rows_for(len(J))
-            ),
-            X.n,
-            sketch.sketch_size,
-            sketch.seed,
-            sketch.pinv_tolerance,
-        )
-        return nystrom_eigs(factors, sketch.target_rank_d, deg, sketch.pinv_tolerance)
-    sketch = config.sketch_config("gaussian_projection")
-    operator = A if A is not None else DiffusionOperator(X, config.sigma, deg)
-    Q = gaussian_sketch_basis(
-        operator, X.n, sketch.sketch_size, sketch.power_iterations_q, sketch.seed
-    )
-    factors = project(operator, Q)
-    return nystrom_eigs(factors, sketch.target_rank_d, deg, sketch.pinv_tolerance)
+    if method not in METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
+    if A is not None and deg is None:
+        raise ParameterError("a materialized operator A needs its degrees deg")
+    if method != "deterministic":
+        l = _sketch_size(X.n, d, oversampling)
+    run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
+    if method == "deterministic" and A is None:
+        A, deg = _dense_operator(X, sigma, run)
+    elif method == "nystrom_projection" and deg is None:
+        deg, _ = run("degrees", lambda: degree_vector(X, sigma))
+
+    def solve():
+        if method == "deterministic":
+            vals, vecs = eigendecompose(A, d, check_symmetry=False)
+            markov = recover_markov_eigvecs(vecs, deg)
+            return SpectralModel(vals, vecs, markov, deg, method, d)
+        if method == "nystrom_columns":
+            # Row blocks sized for the pivot block, not for n columns.
+            factors, col_deg, _ = sample_columns(
+                lambda J: gaussian_kernel_columns(X, sigma, J, block_rows_for(len(J))),
+                X.n, l, seed, pinv_tolerance,
+            )
+            return nystrom_eigs(factors, d, col_deg, pinv_tolerance)
+        operator = A if A is not None else DiffusionOperator(X, sigma, deg)
+        Q = gaussian_sketch_basis(operator, X.n, l, power_iterations, seed)
+        return nystrom_eigs(project(operator, Q), d, deg, pinv_tolerance)
+
+    return run("decomposition", solve)[0]
 
 
 def _embed(config, model):
@@ -266,13 +307,43 @@ def _embed(config, model):
     )
 
 
-def _sketch_l(config, n):
-    l = config.d + config.oversampling
-    if l > n:
-        raise ParameterError(
-            f"sketch size d + oversampling = {l} exceeds n = {n}"
-        )
-    return l
+def _pipeline(config, body):
+    """The frame run_experiment and compare_methods share.
+
+    ``body(X, clock, settings)`` decomposes and embeds the data.  It returns
+    the reference model, the embeddings to write as {file name: embedding},
+    the reference's first, and the comparison block and spectra (None for
+    a single run).  k-means labels only the reference.
+    """
+    config.validate()
+    clock = _StageClock()
+    settings = {name: getattr(config, name) for name in _SETTINGS}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X, _ = clock.run("data", lambda: _build_dataset(config))
+        model, embeddings, comparison, spectra = body(X, clock, settings)
+        reference, ref_emb = next(iter(embeddings.items()))
+        labels = None
+        if config.cluster_k:
+            labels, _ = clock.run(
+                "clustering", lambda: kmeans_cluster(ref_emb, config.cluster_k, seed=config.seed)
+            )
+    report = ExperimentReport(
+        config=config.to_dict(),
+        wall_time_seconds=dict(clock.times),
+        eigenvalues=[float(v) for v in model.eigenvalues],
+        effective_rank=model.rank_d,
+        warnings=[str(w.message) for w in caught],
+        comparison=comparison,
+    )
+    if labels is not None:
+        report.clustering = {"k": labels.k, "inertia": labels.inertia}
+    files = [
+        (name, emb, labels if name == reference else None)
+        for name, emb in embeddings.items()
+    ]
+    _write_outputs(config.output_dir, report, files, config, spectra=spectra)
+    return report
 
 
 def run_experiment(config):
@@ -281,63 +352,20 @@ def run_experiment(config):
     Returns the ExperimentReport; the same report is written to
     ``output_dir/report.json`` next to ``embedding.csv`` and a reloadable
     ``config.txt``.  On failure, files written by this run are removed.
+    Column sampling takes its degrees from its factor, so its degrees
+    stage reads 0.0; only the deterministic method fills the kernel stage.
     """
-    config.validate()
-    clock = _StageClock()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        X, _ = clock.run("data", lambda: _build_dataset(config))
-        if config.method != "deterministic":
-            _sketch_l(config, X.n)
-        if config.method == "deterministic":
-            K, _ = clock.run(
-                "kernel", lambda: gaussian_kernel_matrix(X, config.sigma)
-            )
-            # Row sums of the materialized kernel match the streamed
-            # degree_vector bitwise (same per-row reduction).
-            deg, _ = clock.run(
-                "degrees", lambda: DegreeVector(K.values.sum(axis=1))
-            )
-            model, _ = clock.run(
-                "decomposition",
-                lambda: deterministic_model(K, deg, config.d, overwrite_kernel=True),
-            )
-        else:
-            # Column sampling takes its degrees from its factor, so its
-            # degrees stage reads 0.0.
-            deg = None
-            if config.method == "nystrom_projection":
-                deg, _ = clock.run("degrees", lambda: degree_vector(X, config.sigma))
-            model, _ = clock.run(
-                "decomposition", lambda: _decompose(config, config.method, X, deg)
-            )
+
+    def body(X, clock, settings):
+        model = decompose(X, method=config.method, clock=clock, **settings)
         emb, _ = clock.run("embedding", lambda: _embed(config, model))
-        labels = None
-        if config.cluster_k:
-            labels, _ = clock.run(
-                "clustering",
-                lambda: kmeans_cluster(emb, config.cluster_k, seed=config.seed),
-            )
-    report = ExperimentReport(
-        config=config.to_dict(),
-        wall_time_seconds=dict(clock.times),
-        eigenvalues=[float(v) for v in model.eigenvalues],
-        effective_rank=model.rank_d,
-        warnings=[str(w.message) for w in caught],
-    )
-    if labels is not None:
-        report.clustering = {"k": labels.k, "inertia": labels.inertia}
-    _write_outputs(
-        config.output_dir,
-        report,
-        [("embedding.csv", emb, labels)],
-        config,
-    )
-    return report
+        return model, {"embedding.csv": emb}, None, None
+
+    return _pipeline(config, body)
 
 
 def compare_methods(config):
-    """Benchmark the deterministic path against both Nystrom strategies.
+    """Benchmark the deterministic path against both Nystrom methods.
 
     All methods share the same dataset, kernel and degrees.  The symmetric
     operator is materialized once; the deterministic solver and the
@@ -348,42 +376,39 @@ def compare_methods(config):
     largest relative error of those degrees against the exact ones.
 
     The report's top-level fields describe the deterministic reference;
-    ``comparison[strategy]`` holds timings, speedups, eigenvalues and the
-    relative embedding error of each Nystrom strategy.
+    ``comparison[method]`` holds timings, speedups, eigenvalues and the
+    relative embedding error of each Nystrom method.
     """
-    config.validate()
-    clock = _StageClock()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        X, _ = clock.run("data", lambda: _build_dataset(config))
-        _sketch_l(config, X.n)
-        K, _ = clock.run("kernel", lambda: gaussian_kernel_matrix(X, config.sigma))
-        deg, _ = clock.run("degrees", lambda: DegreeVector(K.values.sum(axis=1)))
-        A, det_build = clock.run(
-            "decomposition", lambda: symmetric_matrix(K, deg, overwrite=True)
-        )
-        det_model, det_solve = clock.run(
-            "decomposition",
-            lambda: _run_deterministic_solve(A, deg, config.d),
-        )
-        det_decomp = det_build + det_solve
-        det_emb, det_embed_time = clock.run("embedding", lambda: _embed(config, det_model))
 
-        shared = clock.times["kernel"] + clock.times["degrees"]
-        comparison = {}
-        spectra = {"deterministic": det_model.eigenvalues}
-        embeddings = {"deterministic": (det_emb, None)}
-        for method in ("nystrom_projection", "nystrom_columns"):
-            reuse = A if method == "nystrom_projection" else None
+    def body(X, clock, settings):
+        # The sketches must fit before the exact solve spends a kernel pass.
+        _sketch_size(X.n, config.d, config.oversampling)
+        A, deg = _dense_operator(X, config.sigma, clock.run)
+        comparison, spectra, embeddings = {}, {}, {}
+        for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
+            # The reference fills the standard stages; each sketch is
+            # timed, decomposition and embedding, under its own name.
+            exact = method == "deterministic"
             model, decomp_time = clock.run(
-                method, lambda m=method, r=reuse: _decompose(config, m, X, deg, A=r)
+                "decomposition" if exact else method,
+                lambda m=method: decompose(X, method=m, A=A, deg=deg, **settings),
             )
-            emb, embed_time = clock.run(method, lambda m=model: _embed(config, m))
+            emb, embed_time = clock.run(
+                "embedding" if exact else method, lambda m=model: _embed(config, m)
+            )
+            spectra[method] = model.eigenvalues
+            embeddings[f"embedding_{method}.csv"] = emb
+            if exact:
+                det_model, det_emb = model, emb
+                shared = clock.times["kernel"] + clock.times["degrees"]
+                det_decomp = clock.times["decomposition"]
+                det_pipeline = shared + det_decomp + embed_time
+                continue
             comparison[method] = {
                 "decomposition_seconds": decomp_time,
                 "embedding_seconds": embed_time,
                 "speedup_decomposition": det_decomp / max(decomp_time, 1e-12),
-                "speedup_pipeline": (shared + det_decomp + det_embed_time)
+                "speedup_pipeline": det_pipeline
                 / max(shared + decomp_time + embed_time, 1e-12),
                 "relative_error": relative_embedding_error(det_emb, emb),
                 "effective_rank": model.rank_d,
@@ -393,47 +418,18 @@ def compare_methods(config):
                 comparison[method]["degree_rel_err"] = float(
                     np.max(np.abs(model.degrees.values - deg.values) / deg.values)
                 )
-            spectra[method] = model.eigenvalues
-            embeddings[method] = (emb, None)
-        labels = None
-        if config.cluster_k:
-            labels, _ = clock.run(
-                "clustering",
-                lambda: kmeans_cluster(det_emb, config.cluster_k, seed=config.seed),
-            )
-            embeddings["deterministic"] = (det_emb, labels)
-    report = ExperimentReport(
-        config=config.to_dict(),
-        wall_time_seconds=dict(clock.times),
-        eigenvalues=[float(v) for v in det_model.eigenvalues],
-        effective_rank=det_model.rank_d,
-        warnings=[str(w.message) for w in caught],
-        comparison=comparison,
-    )
-    if labels is not None:
-        report.clustering = {"k": labels.k, "inertia": labels.inertia}
-    embedding_files = [
-        (f"embedding_{name}.csv", emb, lab) for name, (emb, lab) in embeddings.items()
-    ]
-    _write_outputs(config.output_dir, report, embedding_files, config, spectra=spectra)
-    return report
+        return det_model, embeddings, comparison, spectra
 
-
-def _run_deterministic_solve(A, deg, d):
-    vals, vecs = eigendecompose(A, d, check_symmetry=False)
-    markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(vals, vecs, markov, deg, "deterministic", d)
+    return _pipeline(config, body)
 
 
 def _write_spectrum_csv(path, spectra):
-    columns = ["deterministic", "nystrom_projection", "nystrom_columns"]
-    length = max(len(spectra[c]) for c in columns)
+    length = max(len(vals) for vals in spectra.values())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("eigval_index," + ",".join(columns) + "\n")
+        fh.write("eigval_index," + ",".join(spectra) + "\n")
         for i in range(length):
             cells = [str(i)]
-            for c in columns:
-                vals = spectra[c]
+            for vals in spectra.values():
                 cells.append("%.17g" % vals[i] if i < len(vals) else "")
             fh.write(",".join(cells) + "\n")
 

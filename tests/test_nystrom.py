@@ -11,7 +11,9 @@ from nydmap import (
     DimensionError,
     ParameterError,
     RankDeficiencyWarning,
+    decompose,
     degree_vector,
+    deterministic_model,
     eigendecompose,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
@@ -21,11 +23,10 @@ from nydmap import (
     project,
     psd_inverse_sqrt,
     sample_columns,
-    sketch_model,
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
-from nydmap.nystrom import NystromFactors, SketchConfig
+from nydmap.nystrom import NystromFactors
 
 
 def _diffusion_A(n, seed, sigma=0.8, p=3):
@@ -40,31 +41,14 @@ def _low_rank_psd(n, r, seed):
     return G @ G.T
 
 
-def test_sketch_config_validation():
-    SketchConfig(target_rank_d=5)
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=0)
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=5, oversampling=-1)
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=5, power_iterations_q=-1)
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=5, strategy="leverage")
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=5, pinv_tolerance=0.0)
-    with pytest.raises(ParameterError):
-        SketchConfig(target_rank_d=5, pinv_tolerance=1.5)
-    assert SketchConfig(target_rank_d=5, oversampling=3).sketch_size == 8
-
-
 def test_factors_validation():
     C = np.zeros((10, 3))
     with pytest.raises(DimensionError):
-        NystromFactors(C, np.zeros((4, 4)), "pivoted_columns")
+        NystromFactors(C, np.zeros((4, 4)), "nystrom_columns")
     W = np.eye(3)
     W[0, 1] = 1e-6
     with pytest.raises(ContractError):
-        NystromFactors(C, W, "pivoted_columns")
+        NystromFactors(C, W, "nystrom_columns")
     with pytest.raises(ParameterError):
         NystromFactors(C, np.eye(3), "bogus")
 
@@ -80,7 +64,7 @@ def test_sample_columns_matches_materialized_operator():
     factors, deg, J = _pivoted(X, 0.8, 50, seed=1)
     assert J.shape == (50,)
     assert np.unique(J).size == 50 and J.min() >= 0 and J.max() < 300
-    assert factors.strategy == "pivoted_columns"
+    assert factors.method == "nystrom_columns"
     assert np.array_equal(factors.W, np.eye(50))
     # C = D^-1/2 F with the factor's own degrees deg = F (F^T 1).
     F = factors.C * np.sqrt(deg.values)[:, None]
@@ -212,7 +196,7 @@ def test_project_coordinate_basis():
     factors = project(A, Q)
     assert np.array_equal(factors.C, A[:, :12])
     assert np.array_equal(factors.W, A[:12, :12])
-    assert factors.strategy == "gaussian_projection"
+    assert factors.method == "nystrom_projection"
 
 
 def test_project_zero_operator():
@@ -303,7 +287,7 @@ def test_nystrom_eigs_exact_on_low_rank():
 
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
-    factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "pivoted_columns")
+    factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "nystrom_columns")
     model = nystrom_eigs(factors, n, DegreeVector(np.ones(n)))
     assert model.method == "nystrom_columns"
     assert np.allclose(model.eigenvalues, 3.0, rtol=0.0, atol=1e-12)
@@ -321,7 +305,7 @@ def test_nystrom_eigs_truncates_with_warning():
 
 
 def test_nystrom_eigs_validation():
-    factors = NystromFactors(np.eye(10), np.eye(10), "pivoted_columns")
+    factors = NystromFactors(np.eye(10), np.eye(10), "nystrom_columns")
     deg = DegreeVector(np.ones(10))
     with pytest.raises(ParameterError):
         nystrom_eigs(factors, 11, deg)
@@ -331,11 +315,9 @@ def test_nystrom_eigs_validation():
 
 def test_nystrom_diffusion_eigenvalue_bounds():
     X, A, deg = _diffusion_A(300, 9, sigma=0.5)
-    for strategy in ("gaussian_projection", "pivoted_columns"):
-        cfg = SketchConfig(target_rank_d=20, oversampling=10, strategy=strategy, seed=2)
-        model = sketch_model(
-            A, 300, cfg, deg, kernel_columns=lambda J: gaussian_kernel_columns(X, 0.5, J)
-        )
+    for method in ("nystrom_projection", "nystrom_columns"):
+        model = decompose(X, 0.5, method, 20, oversampling=10, seed=2, A=A, deg=deg)
+        assert model.method == method
         assert model.eigenvalues.min() >= -1e-8
         assert model.eigenvalues.max() <= 1.0 + 1e-8
         assert np.all(np.diff(model.eigenvalues) <= 1e-15)
@@ -375,19 +357,22 @@ def test_more_power_iterations_do_not_hurt_on_average():
 
 def test_nystrom_model_bitwise_deterministic():
     X, A, deg = _diffusion_A(200, 11, sigma=0.5)
-    provider = lambda J: gaussian_kernel_columns(X, 0.5, J)
-    for strategy in ("gaussian_projection", "pivoted_columns"):
-        cfg = SketchConfig(target_rank_d=15, oversampling=5, strategy=strategy, seed=7)
-        a = sketch_model(A, 200, cfg, deg, kernel_columns=provider)
-        b = sketch_model(A, 200, cfg, deg, kernel_columns=provider)
+    for method in ("nystrom_projection", "nystrom_columns"):
+        a = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
+        b = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors_sym, b.eigenvectors_sym)
         assert np.array_equal(a.eigenvectors_markov, b.eigenvectors_markov)
         assert a.method == b.method and a.rank_d == b.rank_d
 
 
-def test_sketch_model_needs_column_provider():
-    _, A, deg = _diffusion_A(50, 12)
-    cfg = SketchConfig(target_rank_d=5, strategy="pivoted_columns")
-    with pytest.raises(ParameterError):
-        sketch_model(A, 50, cfg, deg)
+def test_decompose_deterministic_matches_deterministic_model():
+    X = generate_helix(300, noise_std=0.05, seed=4)
+    K = gaussian_kernel_matrix(X, 0.5)
+    expected = deterministic_model(K, degree_vector(X, 0.5), 12)
+    model = decompose(X, 0.5, "deterministic", 12)
+    assert model.method == "deterministic" and model.rank_d == 12
+    assert np.array_equal(model.degrees.values, expected.degrees.values)
+    assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+    assert np.array_equal(model.eigenvectors_sym, expected.eigenvectors_sym)
+    assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)

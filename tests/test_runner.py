@@ -17,6 +17,8 @@ from nydmap import (
     ExperimentReport,
     ParameterError,
     compare_methods,
+    decompose,
+    generate_helix,
     load_config_file,
     load_report,
     run_experiment,
@@ -27,6 +29,7 @@ from nydmap.kernel import gaussian_kernel_block
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.runner import _config_from_args, _config_lines, build_parser, main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering", "output")
 
 
@@ -38,6 +41,20 @@ def _cfg(tmp_path, **kw):
     kw.setdefault("power_iterations", 1)
     kw.setdefault("output_dir", str(tmp_path / "out"))
     return ExperimentConfig(**kw)
+
+
+@pytest.fixture
+def kernel_entries(monkeypatch):
+    """Entries of every kernel block evaluated from here on, in call order."""
+    entries = []
+
+    def counting_block(Xa, Xb, sigma):
+        entries.append(len(Xa) * len(Xb))
+        return gaussian_kernel_block(Xa, Xb, sigma)
+
+    monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
+    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
+    return entries
 
 
 def test_config_validation():
@@ -55,6 +72,7 @@ def test_config_validation():
         dict(oversampling=-1),
         dict(power_iterations=-1),
         dict(pinv_tolerance=2.0),
+        dict(pinv_tolerance=0.0),
     ]
     for kw in bad:
         with pytest.raises(ParameterError):
@@ -134,7 +152,7 @@ def test_run_experiment_structure(tmp_path):
     assert report.eigenvalues == sorted(report.eigenvalues, reverse=True)
     assert report.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert report.effective_rank == 10
-    assert report.relative_error is None and report.comparison is None
+    assert report.comparison is None
 
     out = tmp_path / "out"
     for name in ("report.json", "embedding.csv", "config.txt"):
@@ -170,10 +188,41 @@ def test_run_nystrom_methods_never_build_kernel(tmp_path):
         assert vals.min() >= -1e-8 and vals.max() <= 1.0 + 1e-8
 
 
-def test_run_sketch_too_large(tmp_path):
-    config = _cfg(tmp_path, n=10, d=8, oversampling=8, method="nystrom_projection")
-    with pytest.raises(ParameterError):
-        run_experiment(config)
+def test_run_sketch_too_large(tmp_path, kernel_entries):
+    # Checked before any kernel entry: compare fails before its exact solve.
+    for entry, method in (
+        (run_experiment, "nystrom_projection"),
+        (run_experiment, "nystrom_columns"),
+        (compare_methods, "deterministic"),
+    ):
+        config = _cfg(tmp_path, n=10, d=8, oversampling=8, method=method)
+        with pytest.raises(ParameterError, match="exceeds n = 10"):
+            entry(config)
+    assert kernel_entries == []
+
+
+def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries):
+    X = generate_helix(200, noise_std=0.05, seed=0)
+    with pytest.raises(ParameterError, match="unknown method"):
+        decompose(X, 0.5, "exact", 5)
+    with pytest.raises(ParameterError, match="exceeds n = 200"):
+        decompose(X, 0.5, "nystrom_columns", 150, oversampling=51)
+    with pytest.raises(ParameterError, match="needs its degrees"):
+        decompose(X, 0.5, "deterministic", 5, A=np.eye(200))
+    assert kernel_entries == []
+
+
+def test_decompose_projection_takes_given_degrees(kernel_entries):
+    n = 300
+    X = generate_helix(n, noise_std=0.05, seed=1)
+    streamed = decompose(X, 0.5, "nystrom_projection", 10)
+    entries = sum(kernel_entries)
+    kernel_entries.clear()
+    given = decompose(X, 0.5, "nystrom_projection", 10, deg=streamed.degrees)
+    assert np.array_equal(given.eigenvalues, streamed.eigenvalues)
+    assert np.array_equal(given.eigenvectors_markov, streamed.eigenvectors_markov)
+    # Only the degree pass, n^2 entries, is skipped.
+    assert entries - sum(kernel_entries) == n * n
 
 
 def test_compare_structure(tmp_path):
@@ -241,22 +290,14 @@ def test_compare_reports_column_degree_error(tmp_path):
     assert 0.0 <= report.comparison["nystrom_columns"]["degree_rel_err"] < 1e-3
 
 
-def test_run_columns_fetches_only_pivot_columns(tmp_path, monkeypatch):
+def test_run_columns_fetches_only_pivot_columns(tmp_path, kernel_entries):
     # No full kernel pass: neither exact degrees nor anything beyond the
     # pivot blocks' columns.
     n = 2003
-    entries = []
-
-    def counting_block(Xa, Xb, sigma):
-        entries.append(len(Xa) * len(Xb))
-        return gaussian_kernel_block(Xa, Xb, sigma)
-
-    monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
-    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
     config = _cfg(tmp_path, n=n, d=40, oversampling=10, method="nystrom_columns")
     report = run_experiment(config)
     assert report.wall_time_seconds["degrees"] == 0.0
-    assert 0 < sum(entries) <= (50 + -(-50 // PIVOT_ROUNDS)) * n
+    assert 0 < sum(kernel_entries) <= (50 + -(-50 // PIVOT_ROUNDS)) * n
 
 
 def test_run_columns_near_identity_kernel_exits_3(tmp_path, capsys):
@@ -269,18 +310,21 @@ def test_run_columns_near_identity_kernel_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
-def test_tracer_sites_resolve():
+def _tracer_sites():
     # perfbench/tracer.py wraps the layer functions at these (module,
     # attribute) sites; a rename in nydmap would silently drop its spans.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "perfbench", "tracer.py"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    sites = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "SITES" for t in node.targets)
     )
+
+
+def test_tracer_sites_resolve():
+    sites = _tracer_sites()
     assert sites
     for path, attr in sites:
         module, _, cls = path.partition(".")
@@ -288,6 +332,33 @@ def test_tracer_sites_resolve():
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), f"{path}.{attr}"
+
+
+def test_modules_load_every_name_they_import():
+    # An import nothing loads is dead code.  The package's __init__ imports
+    # to re-export, and a tracer site is looked up from outside.
+    traced = set(_tracer_sites())
+    src = os.path.join(ROOT, "src", "nydmap")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused = sorted(
+            n for n in imported - loaded if (name[:-3], n) not in traced
+        )
+        assert not unused, f"{name} imports {unused} without using them"
 
 
 def test_compare_with_clustering(tmp_path):
