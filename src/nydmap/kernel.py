@@ -1,13 +1,15 @@
 """Gaussian similarity kernel and graph degrees.
 
 The kernel is kappa(x, y) = exp(-||x - y||^2 / sigma) with sigma a squared
-distance scale.  Everything is computed in row blocks of b rows, where b
-defaults to BLOCK_ENTRIES // n: a block against all n points then holds at
-most BLOCK_ENTRIES float64 values (8 MB) whatever n is.  Blocks that size
-stay below glibc's 32 MB mmap threshold ceiling, so a pass reuses the same
-heap pages for every block instead of faulting in a fresh mapping.  The
-full-matrix path evaluates the upper triangle once, in row strips
-K[i0:i0+b, i0:], about (n^2 + n*b)/2 entries, and mirrors it.
+distance scale.  Everything is computed in row blocks of b rows against m
+points, b = BLOCK_ENTRIES // m: m = n for the full matrix, the degrees and
+the matrix-free operator, m = l for l requested kernel columns.  A block
+then holds at most BLOCK_ENTRIES float64 values (8 MB) whatever n is, and
+BLOCK_ENTRIES is the only block-size setting.  Blocks that size stay below
+glibc's 32 MB mmap threshold ceiling, so a pass reuses the same heap pages
+for every block instead of faulting in a fresh mapping.  The full-matrix
+path evaluates the upper triangle once, in row strips K[i0:i0+b, i0:],
+about (n^2 + n*b)/2 entries, and mirrors it.
 
 A block of b-by-m entries needs two (b, m) float buffers whatever the point
 dimension p, allocated together: squared distances are accumulated one
@@ -115,27 +117,12 @@ def _check_sigma(sigma):
         raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
 
 
-def block_rows_for(n, block_rows=None):
-    """Rows per kernel block for n points.
-
-    ``None`` gives the budget's share, max(1, BLOCK_ENTRIES // n), so a block
-    against all n points holds at most BLOCK_ENTRIES entries; an explicit
-    ``block_rows`` must be an int >= 1.
-    """
-    if block_rows is None:
-        return max(1, BLOCK_ENTRIES // max(n, 1))
-    if (
-        isinstance(block_rows, bool)
-        or not isinstance(block_rows, (int, np.integer))
-        or block_rows < 1
-    ):
-        raise ParameterError(
-            f"block_rows must be an int >= 1 or None, got {block_rows!r}"
-        )
-    return int(block_rows)
+def block_rows_for(width):
+    """Rows per block against ``width`` points: at most BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // width)
 
 
-def gaussian_kernel_matrix(X, sigma, block_rows=None):
+def gaussian_kernel_matrix(X, sigma):
     """Build the full n-by-n Gaussian kernel matrix.
 
     Each row strip K[i0:i1, i0:] of the upper triangle is evaluated once
@@ -147,9 +134,6 @@ def gaussian_kernel_matrix(X, sigma, block_rows=None):
     X : DataMatrix
     sigma : float
         Kernel width (squared-distance units), > 0.
-    block_rows : int or None
-        Rows per strip; bounds the temporary distance buffers.  None takes
-        BLOCK_ENTRIES // n rows, at most 8 MB per buffer.
 
     Returns
     -------
@@ -162,7 +146,7 @@ def gaussian_kernel_matrix(X, sigma, block_rows=None):
     """
     _check_sigma(sigma)
     n = X.n
-    rows = block_rows_for(n, block_rows)
+    rows = block_rows_for(n)
     try:
         K = np.empty((n, n))
     except MemoryError as exc:
@@ -178,12 +162,12 @@ def gaussian_kernel_matrix(X, sigma, block_rows=None):
     return KernelMatrix(K, sigma)
 
 
-def gaussian_kernel_columns(X, sigma, J, block_rows=None):
+def gaussian_kernel_columns(X, sigma, J):
     """Columns J of the Gaussian kernel matrix without building the matrix.
 
-    J must contain unique indices in [0, n).  Column order follows J.
-    ``block_rows`` is as for gaussian_kernel_matrix; the default is sized
-    from n, so a block never exceeds BLOCK_ENTRIES entries.
+    J must contain unique indices in [0, n).  Column order follows J.  Row
+    blocks are sized from len(J), BLOCK_ENTRIES // len(J) rows, so a few
+    columns take few blocks and no block exceeds BLOCK_ENTRIES entries.
     """
     _check_sigma(sigma)
     n = X.n
@@ -196,7 +180,7 @@ def gaussian_kernel_columns(X, sigma, J, block_rows=None):
         raise IndexingError(f"column index out of range [0, {n})")
     if np.unique(J).size != J.size:
         raise IndexingError("J contains repeated indices")
-    rows = block_rows_for(n, block_rows)
+    rows = block_rows_for(J.size)
     anchors = X.values[J]
     cols = np.empty((n, J.size))
     for i0 in range(0, n, rows):
@@ -205,16 +189,16 @@ def gaussian_kernel_columns(X, sigma, J, block_rows=None):
     return cols
 
 
-def degree_vector(X, sigma, block_rows=None):
-    """Exact kernel row sums, streamed so peak memory is O(n * block_rows).
+def degree_vector(X, sigma):
+    """Exact kernel row sums, streamed in blocks of BLOCK_ENTRIES // n rows.
 
-    ``block_rows`` is as for gaussian_kernel_matrix.  Row sums of a
+    Peak memory is one block, at most BLOCK_ENTRIES entries.  Row sums of a
     materialized kernel matrix reduce over the same contiguous axis in the
     same order, so both routes agree bitwise.
     """
     _check_sigma(sigma)
     n = X.n
-    rows = block_rows_for(n, block_rows)
+    rows = block_rows_for(n)
     deg = np.empty(n)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)

@@ -321,4 +321,4 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
     vals = svals[:keep] ** 2
     vecs = fix_signs(U[:, :keep])
     markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(vals, vecs, markov, deg, factors.method, keep)
+    return SpectralModel(vals, vecs, markov, deg, factors.method)

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .kernel import (
     DegreeVector,
-    block_rows_for,
     degree_vector,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
@@ -220,6 +219,8 @@ class _StageClock:
 
 
 def _sketch_size(n, d, oversampling):
+    if oversampling < 0:
+        raise ParameterError(f"oversampling must be >= 0, got {oversampling}")
     l = d + oversampling
     if l > n:
         raise ParameterError(f"sketch size d + oversampling = {l} exceeds n = {n}")
@@ -248,8 +249,9 @@ def decompose(
     a matrix-free DiffusionOperator with l = d + oversampling Gaussian
     columns and ``power_iterations`` subspace-iteration passes;
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
-    the degrees from its factor (see sample_columns).  The sketch size is
-    checked against n before any kernel entry is evaluated.
+    the degrees from its factor (see sample_columns).  d, oversampling and
+    the sketch size are checked against n before any kernel entry is
+    evaluated.
 
     A materialized symmetric operator ``A`` and its degrees ``deg`` replace
     the kernel and degree passes (compare_methods shares one between the
@@ -264,6 +266,8 @@ def decompose(
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
     if A is not None and deg is None:
         raise ParameterError("a materialized operator A needs its degrees deg")
+    if not 1 <= d <= X.n:
+        raise ParameterError(f"need 1 <= d <= n={X.n}, got d={d}")
     if method != "deterministic":
         l = _sketch_size(X.n, d, oversampling)
     run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
@@ -276,12 +280,10 @@ def decompose(
         if method == "deterministic":
             vals, vecs = eigendecompose(A, d, check_symmetry=False)
             markov = recover_markov_eigvecs(vecs, deg)
-            return SpectralModel(vals, vecs, markov, deg, method, d)
+            return SpectralModel(vals, vecs, markov, deg, method)
         if method == "nystrom_columns":
-            # Row blocks sized for the pivot block, not for n columns.
             factors, col_deg, _ = sample_columns(
-                lambda J: gaussian_kernel_columns(X, sigma, J, block_rows_for(len(J))),
-                X.n, l, seed, pinv_tolerance,
+                lambda J: gaussian_kernel_columns(X, sigma, J), X.n, l, seed, pinv_tolerance
             )
             return nystrom_eigs(factors, d, col_deg, pinv_tolerance)
         operator = A if A is not None else DiffusionOperator(X, sigma, deg)
@@ -614,15 +616,13 @@ def _config_from_args(args):
     overrides = {}
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name == "dataset":
-            value = _DATASET_ALIASES.get(value, value)
-        elif f.name == "method":
-            value = _METHOD_ALIASES.get(value, value)
-        overrides[f.name] = value
+        if value is not None:
+            overrides[f.name] = value
     if args.config is not None:
         overrides.update(load_config_file(args.config))
+    for key, aliases in (("dataset", _DATASET_ALIASES), ("method", _METHOD_ALIASES)):
+        if key in overrides:
+            overrides[key] = aliases.get(overrides[key], overrides[key])
     return ExperimentConfig.from_dict(overrides)
 
 

@@ -36,7 +36,6 @@ class SpectralModel:
     eigenvectors_markov: np.ndarray
     degrees: DegreeVector
     method: str
-    rank_d: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -52,15 +51,16 @@ class SpectralModel:
             object.__setattr__(self, name, mat)
         if self.method not in METHODS:
             raise ParameterError(f"unknown method tag {self.method!r}")
-        if self.rank_d != d:
-            raise DimensionError(
-                f"rank_d={self.rank_d} disagrees with {d} stored eigenpairs"
-            )
         object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def n(self):
         return self.degrees.n
+
+    @property
+    def rank_d(self):
+        """Number of stored eigenpairs."""
+        return self.eigenvalues.size
 
 
 def fix_signs(U):
@@ -87,19 +87,19 @@ def markov_matrix(K, deg):
     return K.values / deg.values[:, None]
 
 
-def symmetric_matrix(K, deg, overwrite=False, block_rows=None):
+def symmetric_matrix(K, deg, overwrite=False):
     """Symmetric operator A with A[i, j] = K[i, j] / sqrt(deg[i] * deg[j]).
 
     The denominator is formed as the product sqrt(deg[i]) * sqrt(deg[j]),
     which is commutative, so A is exactly as symmetric as K.  With
     ``overwrite=True`` the kernel buffer is normalized in place and the
     KernelMatrix must not be used afterwards; this halves peak memory for
-    large n.  ``block_rows`` bounds the row blocks of the temporary
-    denominators; None sizes them from kernel.BLOCK_ENTRIES.
+    large n.  The temporary denominators are formed in row blocks of
+    kernel.block_rows_for(n) rows.
     """
     if deg.n != K.n:
         raise DimensionError(f"degree length {deg.n} does not match n={K.n}")
-    rows = block_rows_for(K.n, block_rows)
+    rows = block_rows_for(K.n)
     root = np.sqrt(deg.values)
     out = K.values if overwrite else np.empty_like(K.values)
     for i0 in range(0, K.n, rows):
@@ -108,13 +108,10 @@ def symmetric_matrix(K, deg, overwrite=False, block_rows=None):
     return out
 
 
-def max_asymmetry(A, block_rows=None):
-    """max |A - A^T|, computed in row blocks to avoid an n*n temporary.
-
-    ``block_rows`` as for symmetric_matrix.
-    """
+def max_asymmetry(A):
+    """max |A - A^T|, computed in row blocks to avoid an n*n temporary."""
     n = A.shape[0]
-    rows = block_rows_for(n, block_rows)
+    rows = block_rows_for(n)
     worst = 0.0
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
@@ -207,25 +204,24 @@ def deterministic_model(K, deg, d, overwrite_kernel=False):
     A = symmetric_matrix(K, deg, overwrite=overwrite_kernel)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
     markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(vals, vecs, markov, deg, "deterministic", d)
+    return SpectralModel(vals, vecs, markov, deg, "deterministic")
 
 
 class DiffusionOperator:
     """Matrix-free block multiply by A = D^-1/2 K D^-1/2.
 
-    Rebuilds kernel row blocks of b rows on demand, so peak memory stays
-    O(n * b); by default b = BLOCK_ENTRIES // n (kernel.block_rows_for), at
-    most 8 MB per block whatever n is.  K is symmetric, so each multiply
-    evaluates only the upper-triangle block row K[i0:i1, i0:] of every row
-    block and applies it twice, to its own rows and, transposed, to the
-    rows below: about half a kernel pass, (n^2 + n * b) / 2 entries at
-    most.  Products are bitwise repeatable for a given b, hence for a
-    given n with the default, but their rounding depends on b.  This is
-    the multiply provider for the projection sketch when the kernel matrix
-    does not fit or should not be materialized.
+    Rebuilds kernel row blocks of b = BLOCK_ENTRIES // n rows on demand
+    (kernel.block_rows_for), so peak memory stays at most 8 MB per block
+    whatever n is.  K is symmetric, so each multiply evaluates only the
+    upper-triangle block row K[i0:i1, i0:] of every row block and applies
+    it twice, to its own rows and, transposed, to the rows below: about
+    half a kernel pass, (n^2 + n * b) / 2 entries at most.  Products are
+    bitwise repeatable for a given n, but their rounding depends on b.
+    This is the multiply provider for the projection sketch when the
+    kernel matrix does not fit or should not be materialized.
     """
 
-    def __init__(self, data, sigma, deg, block_rows=None):
+    def __init__(self, data, sigma, deg):
         if not sigma > 0.0:
             raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
         if deg.n != data.n:
@@ -235,7 +231,7 @@ class DiffusionOperator:
         self._points = data.values
         self._sigma = float(sigma)
         self._inv_root_deg = 1.0 / np.sqrt(deg.values)
-        self._block_rows = block_rows_for(data.n, block_rows)
+        self._block_rows = block_rows_for(data.n)
         self.shape = (data.n, data.n)
 
     def matmat(self, B):

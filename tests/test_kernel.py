@@ -15,9 +15,9 @@ from nydmap import (
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
-from nydmap import kernel, spectral
+from nydmap import kernel
 from nydmap.kernel import BLOCK_ENTRIES, DegreeVector, gaussian_kernel_block
-from nydmap.spectral import DiffusionOperator, max_asymmetry, symmetric_matrix
+from nydmap.spectral import DiffusionOperator
 
 
 def _random_data(n, p, seed):
@@ -54,10 +54,12 @@ def test_three_point_hand_table():
     assert np.allclose(K, expected, rtol=1e-15, atol=0.0)
 
 
-def test_exact_symmetry_across_blockings():
+def test_exact_symmetry_across_blockings(block_rows):
     X = _random_data(300, 4, 0)
-    K_small_blocks = gaussian_kernel_matrix(X, 1.1, block_rows=64).values
-    K_one_block = gaussian_kernel_matrix(X, 1.1, block_rows=1024).values
+    block_rows(64, 300)
+    K_small_blocks = gaussian_kernel_matrix(X, 1.1).values
+    block_rows(1024, 300)
+    K_one_block = gaussian_kernel_matrix(X, 1.1).values
     assert np.abs(K_small_blocks - K_small_blocks.T).max() == 0.0
     assert np.array_equal(K_small_blocks, K_one_block)
 
@@ -101,7 +103,7 @@ def test_columns_index_validation():
         gaussian_kernel_columns(X, 0.5, np.array([], dtype=int))
 
 
-def test_degrees_match_materialized_rowsums():
+def test_degrees_match_materialized_rowsums(block_rows):
     for seed, p in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 1), (5, 7)):
         X = _random_data(200, p, seed)
         K = gaussian_kernel_matrix(X, 0.6).values
@@ -109,8 +111,10 @@ def test_degrees_match_materialized_rowsums():
         assert np.array_equal(deg, K.sum(axis=1))
     # multi-block streaming agrees with the single-block path bitwise
     X = _random_data(300, 3, 9)
-    a = degree_vector(X, 0.6, block_rows=64).values
-    b = degree_vector(X, 0.6, block_rows=1024).values
+    block_rows(64, 300)
+    a = degree_vector(X, 0.6).values
+    block_rows(1024, 300)
+    b = degree_vector(X, 0.6).values
     assert np.array_equal(a, b)
 
 
@@ -136,59 +140,49 @@ def test_sigma_validation():
             degree_vector(X, bad)
 
 
-def test_block_rows_does_not_change_results():
+def test_block_rows_does_not_change_results(block_rows):
     for p in (3, 1, 7):
         X = _random_data(137, p, 8)
-        K_ref = gaussian_kernel_matrix(X, 0.5, block_rows=137).values
+        block_rows(137, 137)
+        K_ref = gaussian_kernel_matrix(X, 0.5).values
         for block in (1, 7, 64, 100):
-            assert np.array_equal(gaussian_kernel_matrix(X, 0.5, block_rows=block).values, K_ref)
+            block_rows(block, 137)
+            assert np.array_equal(gaussian_kernel_matrix(X, 0.5).values, K_ref)
 
 
-def test_bad_block_rows_raise_parameter_error():
-    X = _random_data(40, 2, 13)
-    K = gaussian_kernel_matrix(X, 0.5)
-    deg = degree_vector(X, 0.5)
-    calls = (
-        lambda b: gaussian_kernel_matrix(X, 0.5, block_rows=b),
-        lambda b: gaussian_kernel_columns(X, 0.5, np.array([0, 3]), block_rows=b),
-        lambda b: degree_vector(X, 0.5, block_rows=b),
-        lambda b: symmetric_matrix(K, deg, block_rows=b),
-        lambda b: max_asymmetry(K.values, block_rows=b),
-        lambda b: DiffusionOperator(X, 0.5, deg, block_rows=b),
-    )
-    for call in calls:
-        for bad in (0, -1, -2, -3, 2.5, 4.0, "4", True):
-            with pytest.raises(ParameterError):
-                call(bad)
-        call(np.int64(3))
-
-
-def test_default_blocks_split_large_n(monkeypatch):
+def test_default_blocks_split_large_n(kernel_entries, block_rows):
     n = 2003  # prime, and above BLOCK_ENTRIES // n rows: several blocks
     X = _random_data(n, 3, 14)
-    K_one_block = gaussian_kernel_matrix(X, 0.5, block_rows=n).values
-    entries = []
-
-    def counting_block(Xa, Xb, sigma):
-        entries.append(len(Xa) * len(Xb))
-        return gaussian_kernel_block(Xa, Xb, sigma)
-
-    monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
-    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
     deg = degree_vector(X, 0.5)
     K = gaussian_kernel_matrix(X, 0.5).values
     J = np.random.default_rng(15).choice(n, size=60, replace=False)
     cols = gaussian_kernel_columns(X, 0.5, J)
     DiffusionOperator(X, 0.5, deg).matmat(np.ones((n, 2)))
     blocks = -(-n // (BLOCK_ENTRIES // n))
-    assert blocks > 1 and len(entries) == 4 * blocks
-    assert max(entries) <= BLOCK_ENTRIES
+    # Column blocks are sized from len(J): all 60 columns fit in one block.
+    assert blocks > 1 and len(kernel_entries) == 3 * blocks + 1
+    assert max(kernel_entries) <= BLOCK_ENTRIES
 
+    block_rows(n, n)
+    K_one_block = gaussian_kernel_matrix(X, 0.5).values
     assert np.array_equal(deg.values, K.sum(axis=1))
     assert np.array_equal(K, K_one_block)
     assert np.abs(K - K.T).max() == 0.0
     assert np.all(np.diag(K) == 1.0)
     assert np.array_equal(cols, K[:, J])
+
+
+def test_column_blocks_match_full_matrix(kernel_entries, block_rows):
+    n = 200
+    X = _random_data(n, 3, 18)
+    K = gaussian_kernel_matrix(X, 0.5).values
+    J = np.random.default_rng(19).choice(n, size=40, replace=False)
+    block_rows(7, J.size)
+    kernel_entries.clear()
+    cols = gaussian_kernel_columns(X, 0.5, J)
+    assert np.array_equal(cols, K[:, J])
+    assert len(kernel_entries) == -(-n // 7)
+    assert max(kernel_entries) <= kernel.BLOCK_ENTRIES
 
 
 def test_default_blocks_bound_peak_memory():

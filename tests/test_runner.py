@@ -24,8 +24,6 @@ from nydmap import (
     run_experiment,
     save_csv,
 )
-from nydmap import kernel, spectral
-from nydmap.kernel import gaussian_kernel_block
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.runner import _config_from_args, _config_lines, build_parser, main
 
@@ -41,20 +39,6 @@ def _cfg(tmp_path, **kw):
     kw.setdefault("power_iterations", 1)
     kw.setdefault("output_dir", str(tmp_path / "out"))
     return ExperimentConfig(**kw)
-
-
-@pytest.fixture
-def kernel_entries(monkeypatch):
-    """Entries of every kernel block evaluated from here on, in call order."""
-    entries = []
-
-    def counting_block(Xa, Xb, sigma):
-        entries.append(len(Xa) * len(Xb))
-        return gaussian_kernel_block(Xa, Xb, sigma)
-
-    monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
-    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
-    return entries
 
 
 def test_config_validation():
@@ -209,6 +193,13 @@ def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries)
         decompose(X, 0.5, "nystrom_columns", 150, oversampling=51)
     with pytest.raises(ParameterError, match="needs its degrees"):
         decompose(X, 0.5, "deterministic", 5, A=np.eye(200))
+    for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
+        for d in (0, 201):
+            with pytest.raises(ParameterError, match=r"need 1 <= d <= n=200"):
+                decompose(X, 0.5, method, d, oversampling=0)
+    for method in ("nystrom_projection", "nystrom_columns"):
+        with pytest.raises(ParameterError, match="oversampling must be >= 0"):
+            decompose(X, 0.5, method, 10, oversampling=-1)
     assert kernel_entries == []
 
 
@@ -604,10 +595,27 @@ def test_main_config_file_overrides_flags(tmp_path, capsys):
     assert report.config["dataset"] == "helix"
 
 
-def test_main_exit_code_2_on_bad_config(tmp_path, capsys):
+def test_config_file_accepts_value_aliases(tmp_path):
+    cfg = tmp_path / "aliases.cfg"
+    cfg.write_text("method = nys-rp\ndataset = swiss\n")
+    from_file = _config_from_args(build_parser().parse_args(["run", "--config", str(cfg)]))
+    from_flags = _config_from_args(
+        build_parser().parse_args(["run", "--method", "nys-rp", "--dataset", "swiss"])
+    )
+    assert from_file == from_flags
+    assert (from_file.method, from_file.dataset) == ("nystrom_projection", "swiss_roll")
+
+
+def test_main_exit_code_2_on_bad_config(tmp_path, capsys, kernel_entries):
     code = main(["run", "--n", "1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # A rank above n is rejected before the kernel pass.
+    argv = ["run", "--method", "det", "--n", "300", "--rank", "301"]
+    code = main(argv + ["--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "need 1 <= d <= n=300" in capsys.readouterr().err
+    assert kernel_entries == []
 
 
 def test_main_exit_code_2_on_missing_file(tmp_path, capsys):

@@ -17,7 +17,6 @@ from nydmap import (
     recover_markov_eigvecs,
     symmetric_matrix,
 )
-from nydmap import spectral
 from nydmap.kernel import DegreeVector, KernelMatrix
 from nydmap.spectral import DiffusionOperator, SpectralModel, max_asymmetry
 
@@ -91,15 +90,16 @@ def test_symmetric_sqrt_degree_fixed_vector():
     assert np.linalg.norm(A @ v - v) <= 1e-12 * np.linalg.norm(v)
 
 
-def test_symmetric_exactly_symmetric_and_overwrite():
+def test_symmetric_exactly_symmetric_and_overwrite(block_rows):
     _, K, deg = _diffusion_parts(150, 3, 3)
     A = symmetric_matrix(K, deg)
     assert np.abs(A - A.T).max() == 0.0
-    assert max_asymmetry(A, block_rows=32) == 0.0
     # the in-place path consumes the kernel buffer but yields the same bits
     A2 = symmetric_matrix(K, deg, overwrite=True)
     assert A2 is K.values
     assert np.array_equal(A, A2)
+    block_rows(32, 150)
+    assert max_asymmetry(A) == 0.0
 
 
 def test_eigendecompose_identity_and_diagonal():
@@ -224,17 +224,17 @@ def test_spectral_model_validation():
     deg = DegreeVector(np.ones(4))
     U = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 2)))[0]
     with pytest.raises(ParameterError):
-        SpectralModel(np.array([1.0, 0.5]), U, U, deg, "bogus", 2)
+        SpectralModel(np.array([1.0, 0.5]), U, U, deg, "bogus")
     with pytest.raises(DimensionError):
-        SpectralModel(np.array([1.0, 0.5]), U, U, deg, "deterministic", 3)
-    with pytest.raises(DimensionError):
-        SpectralModel(np.array([1.0]), U, U, deg, "deterministic", 1)
+        SpectralModel(np.array([1.0]), U, U, deg, "deterministic")
+    assert SpectralModel(np.array([1.0, 0.5]), U, U, deg, "deterministic").rank_d == 2
 
 
-def test_diffusion_operator_matches_dense():
+def test_diffusion_operator_matches_dense(block_rows):
     X, K, deg = _diffusion_parts(200, 3, 6)
     A = symmetric_matrix(K, deg)
-    op = DiffusionOperator(X, 0.8, deg, block_rows=64)
+    block_rows(64, 200)
+    op = DiffusionOperator(X, 0.8, deg)
     B = np.random.default_rng(7).normal(size=(200, 5))
     dense = A @ B
     blocked = op.matmat(B)
@@ -244,27 +244,20 @@ def test_diffusion_operator_matches_dense():
     assert np.array_equal(op @ B, op.matmat(B))
 
 
-def test_diffusion_operator_block_sizes(monkeypatch):
+def test_diffusion_operator_block_sizes(kernel_entries, block_rows):
     n = 137  # prime: no block size below n divides it
     X, K, deg = _diffusion_parts(n, 3, 9)
     A = symmetric_matrix(K, deg)
     B = np.random.default_rng(10).normal(size=(n, 4))
-    entries = []
-    kernel_block = spectral.gaussian_kernel_block
-
-    def counting_block(Xa, Xb, sigma):
-        entries.append(len(Xa) * len(Xb))
-        return kernel_block(Xa, Xb, sigma)
-
-    monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)
-    for block_rows in (1, 7, 64, n, n + 5):
-        op = DiffusionOperator(X, 0.8, deg, block_rows=block_rows)
+    for rows in (1, 7, 64, n, n + 5):
+        block_rows(rows, n)
+        op = DiffusionOperator(X, 0.8, deg)
         for operand in (B, B[:, 1]):
             dense = A @ operand
-            entries.clear()
+            kernel_entries.clear()
             first = op.matmat(operand)
             # symmetry halves the kernel entries a multiply evaluates
-            assert sum(entries) <= (n * n + n * block_rows) / 2 + n
+            assert sum(kernel_entries) <= (n * n + n * rows) / 2 + n
             assert first.shape == dense.shape
             assert np.abs(dense - first).max() <= 1e-13 * np.abs(dense).max()
             assert np.array_equal(op.matmat(operand), first)
