@@ -287,12 +287,12 @@ def psd_inverse_sqrt(W, tol):
 def nystrom_eigs(factors, d, deg, tol=1e-12):
     """Approximate top-d eigenpairs of A from Nystrom factors.
 
-    Forms F = C W^-1/2 and takes its thin SVD; eigenvalues are the squared
-    singular values (guaranteeing the diffusion spectrum stays nonnegative)
-    and eigenvectors of A are the left singular vectors.  If the numerical
-    rank of F (same relative cutoff as the pseudo-inverse) is below d, the
-    result is truncated and a RankDeficiencyWarning records the effective
-    rank.
+    Forms F = C W^-1/2 (C itself when W = I) and takes its thin SVD;
+    eigenvalues are the squared singular values (guaranteeing the diffusion
+    spectrum stays nonnegative) and eigenvectors of A are the left singular
+    vectors.  If the numerical rank of F (same relative cutoff as the
+    pseudo-inverse) is below d, the result is truncated and a
+    RankDeficiencyWarning records the effective rank.
 
     Returns
     -------
@@ -305,7 +305,14 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
         raise DimensionError(
             f"factors are for n={factors.C.shape[0]} but degrees have length {deg.n}"
         )
-    F = factors.C @ psd_inverse_sqrt(factors.W, tol)
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
+    if np.array_equal(factors.W, np.eye(l)):
+        # Column factors carry W = I, whose inverse root is I again: skip an
+        # n-by-l-by-l product that returns C bitwise unchanged.
+        F = factors.C
+    else:
+        F = factors.C @ psd_inverse_sqrt(factors.W, tol)
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
     if not svals[0] > 0.0:
         raise DegeneracyError("approximate factor F is identically zero")

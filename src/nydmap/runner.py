@@ -510,7 +510,8 @@ def load_config_file(path):
 
     Blank lines and '#' comments are ignored.  Keys are the ExperimentConfig
     field names (plus aliases rank, out, cluster); values are typed per
-    field.  Booleans accept true/false, yes/no, 1/0.
+    field, and the dataset and method take the flags' aliases (swiss,
+    det, nys-cols, nys-rp).  Booleans accept true/false, yes/no, 1/0.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     defaults = ExperimentConfig()
@@ -541,6 +542,14 @@ def load_config_file(path):
                 raise DataFormatError(
                     f"{path}:{lineno}: cannot parse {value!r} for key {key!r}"
                 ) from exc
+    return _resolve_value_aliases(mapping)
+
+
+def _resolve_value_aliases(mapping):
+    """Replace the flags' short dataset and method names by the full ones."""
+    for key, aliases in (("dataset", _DATASET_ALIASES), ("method", _METHOD_ALIASES)):
+        if key in mapping:
+            mapping[key] = aliases.get(mapping[key], mapping[key])
     return mapping
 
 
@@ -620,10 +629,7 @@ def _config_from_args(args):
             overrides[f.name] = value
     if args.config is not None:
         overrides.update(load_config_file(args.config))
-    for key, aliases in (("dataset", _DATASET_ALIASES), ("method", _METHOD_ALIASES)):
-        if key in overrides:
-            overrides[key] = aliases.get(overrides[key], overrides[key])
-    return ExperimentConfig.from_dict(overrides)
+    return ExperimentConfig.from_dict(_resolve_value_aliases(overrides))
 
 
 def build_parser():

@@ -285,6 +285,21 @@ def test_nystrom_eigs_exact_on_low_rank():
         assert rel.max() <= 1e-8
 
 
+def test_nystrom_eigs_identity_w_uses_c_unchanged():
+    # Column factors carry W = I: skipping C @ psd_inverse_sqrt(I) must not
+    # change a bit of the result, and tol is still checked.
+    X, _, _ = _diffusion_A(300, 2)
+    factors, deg, _ = _pivoted(X, 0.8, 40, seed=3)
+    model = nystrom_eigs(factors, 30, deg)
+    F = factors.C @ psd_inverse_sqrt(factors.W, 1e-12)
+    assert np.array_equal(F, factors.C)
+    _, svals, _ = np.linalg.svd(F, full_matrices=False)
+    assert np.array_equal(model.eigenvalues, svals[:30] ** 2)
+    for tol in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="tol must lie in"):
+            nystrom_eigs(factors, 30, deg, tol)
+
+
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
     factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "nystrom_columns")

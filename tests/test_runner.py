@@ -264,13 +264,15 @@ def test_compare_structure(tmp_path):
 
 def test_compare_accuracy_and_column_speed(tmp_path):
     config = _cfg(tmp_path, n=2000, d=50, oversampling=10, power_iterations=2)
-    report = compare_methods(config)
-    proj = report.comparison["nystrom_projection"]
-    cols = report.comparison["nystrom_columns"]
+    reports = [compare_methods(config) for _ in range(3)]
+    proj = reports[0].comparison["nystrom_projection"]
     assert proj["relative_error"] <= 1e-3
     # Column sampling skips every full-operator multiply; even at this
-    # small size it must beat the dense reference decisively.
-    assert cols["decomposition_seconds"] < report.wall_time_seconds["decomposition"]
+    # small size it must beat the dense reference.  Each side's fastest of
+    # three runs is compared, so one noisy sample cannot decide the gate.
+    cols = min(r.comparison["nystrom_columns"]["decomposition_seconds"] for r in reports)
+    exact = min(r.wall_time_seconds["decomposition"] for r in reports)
+    assert cols < exact
 
 
 def test_compare_reports_column_degree_error(tmp_path):
@@ -604,6 +606,17 @@ def test_config_file_accepts_value_aliases(tmp_path):
     )
     assert from_file == from_flags
     assert (from_file.method, from_file.dataset) == ("nystrom_projection", "swiss_roll")
+
+
+def test_load_config_file_resolves_value_aliases(tmp_path):
+    cfg = tmp_path / "aliases.cfg"
+    cfg.write_text("method = nys-rp\ndataset = swiss\n")
+    loaded = ExperimentConfig.from_dict(load_config_file(str(cfg)))
+    loaded.validate()
+    from_flags = _config_from_args(
+        build_parser().parse_args(["run", "--method", "nys-rp", "--dataset", "swiss"])
+    )
+    assert loaded == from_flags
 
 
 def test_main_exit_code_2_on_bad_config(tmp_path, capsys, kernel_entries):

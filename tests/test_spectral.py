@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -144,6 +146,36 @@ def test_eigendecompose_rejects_asymmetric():
     # explicit opt-out skips the check
     vals, _ = eigendecompose(A, 2, check_symmetry=False)
     assert vals.shape == (2,)
+
+
+def test_eigendecompose_reads_only_lower_triangle():
+    # NaN above the diagonal must not reach either solver: the dense path
+    # (n = 120) and ARPACK's dsymv products (n = 400), for C- and F-ordered
+    # storage (each layout has its own summation order).
+    for n, d in ((120, 10), (400, 8)):
+        _, K, deg = _diffusion_parts(n, 3, n)
+        for order in ("C", "F"):
+            A = np.array(symmetric_matrix(K, deg), order=order)
+            vals, vecs = eigendecompose(A, d, check_symmetry=False)
+            A[np.triu_indices(n, 1)] = np.nan
+            got_vals, got_vecs = eigendecompose(A, d, check_symmetry=False)
+            assert np.array_equal(got_vals, vals)
+            assert np.array_equal(got_vecs, vecs)
+            with pytest.raises(ContractError, match="not finite"):
+                eigendecompose(A, d)
+
+
+def test_eigendecompose_iterative_path_copies_no_matrix():
+    n = 1500
+    _, K, deg = _diffusion_parts(n, 3, 7)
+    A = symmetric_matrix(K, deg)
+    tracemalloc.start()
+    try:
+        eigendecompose(A, 10, check_symmetry=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 def test_eigendecompose_parameter_validation():
