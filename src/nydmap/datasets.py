@@ -84,8 +84,8 @@ class LorenzParams:
 def _check_generator_args(n, noise_std):
     if n < 2:
         raise ParameterError(f"need n >= 2 points, got {n}")
-    if noise_std < 0.0:
-        raise ParameterError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 def generate_helix(n, noise_std=0.05, seed=0):
@@ -141,14 +141,14 @@ def generate_swiss_roll(n, noise_std=0.05, seed=0):
     return DataMatrix(points), s
 
 
+def _lorenz_rhs(x, y, z, sigma, rho, beta):
+    return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+
+
 def lorenz_derivative(state, params):
     """Right-hand side of the Lorenz system at a single state."""
     x, y, z = (float(v) for v in state)
-    return np.array([
-        params.sigma * (y - x),
-        x * (params.rho - z) - y,
-        x * y - params.beta * z,
-    ])
+    return np.array(_lorenz_rhs(x, y, z, params.sigma, params.rho, params.beta))
 
 
 def integrate_lorenz(params):
@@ -174,31 +174,13 @@ def integrate_lorenz(params):
     half = dt / 2.0
     sixth = dt / 6.0
     for k in range(1, steps + 1):
-        ax1 = sigma * (y - x)
-        ay1 = x * (rho - z) - y
-        az1 = x * y - beta * z
-
-        x2 = x + half * ax1
-        y2 = y + half * ay1
-        z2 = z + half * az1
-        ax2 = sigma * (y2 - x2)
-        ay2 = x2 * (rho - z2) - y2
-        az2 = x2 * y2 - beta * z2
-
-        x3 = x + half * ax2
-        y3 = y + half * ay2
-        z3 = z + half * az2
-        ax3 = sigma * (y3 - x3)
-        ay3 = x3 * (rho - z3) - y3
-        az3 = x3 * y3 - beta * z3
-
-        x4 = x + dt * ax3
-        y4 = y + dt * ay3
-        z4 = z + dt * az3
-        ax4 = sigma * (y4 - x4)
-        ay4 = x4 * (rho - z4) - y4
-        az4 = x4 * y4 - beta * z4
-
+        ax1, ay1, az1 = _lorenz_rhs(x, y, z, sigma, rho, beta)
+        x2, y2, z2 = x + half * ax1, y + half * ay1, z + half * az1
+        ax2, ay2, az2 = _lorenz_rhs(x2, y2, z2, sigma, rho, beta)
+        x3, y3, z3 = x + half * ax2, y + half * ay2, z + half * az2
+        ax3, ay3, az3 = _lorenz_rhs(x3, y3, z3, sigma, rho, beta)
+        x4, y4, z4 = x + dt * ax3, y + dt * ay3, z + dt * az3
+        ax4, ay4, az4 = _lorenz_rhs(x4, y4, z4, sigma, rho, beta)
         x = x + sixth * (ax1 + 2.0 * (ax2 + ax3) + ax4)
         y = y + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4)
         z = z + sixth * (az1 + 2.0 * (az2 + az3) + az4)

@@ -51,8 +51,7 @@ class KernelMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionError(f"kernel matrix must be square, got {values.shape}")
-        if not self.sigma > 0.0:
-            raise ParameterError(f"kernel width sigma must be > 0, got {self.sigma}")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -113,8 +112,8 @@ def gaussian_kernel_block(Xa, Xb, sigma):
 
 
 def _check_sigma(sigma):
-    if not sigma > 0.0:
-        raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ParameterError(f"kernel width sigma must be finite and > 0, got {sigma}")
 
 
 def block_rows_for(width):

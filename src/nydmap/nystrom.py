@@ -29,7 +29,7 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .kernel import DegreeVector
-from .spectral import SpectralModel, fix_signs, recover_markov_eigvecs
+from .spectral import SYMMETRY_TOL, SpectralModel, fix_signs, recover_markov_eigvecs
 
 # The pivoted Cholesky column sampler draws its l pivots in about this
 # many rounds of ceil(l / PIVOT_ROUNDS).  Its first round is a uniform draw
@@ -59,8 +59,8 @@ class NystromFactors:
         l = C.shape[1]
         if W.shape != (l, l):
             raise DimensionError(f"W must be {l}x{l} to match C, got {W.shape}")
-        if W.size and float(np.abs(W - W.T).max()) > 1e-10:
-            raise ContractError("W is not symmetric within 1e-10")
+        if W.size and float(np.abs(W - W.T).max()) > SYMMETRY_TOL:
+            raise ContractError(f"W is not symmetric within {SYMMETRY_TOL}")
         if self.method not in ("nystrom_columns", "nystrom_projection"):
             raise ParameterError(f"unknown sketch method {self.method!r}")
         object.__setattr__(self, "C", C)
@@ -268,8 +268,8 @@ def psd_inverse_sqrt(W, tol):
         raise DimensionError(f"W must be square, got shape {W.shape}")
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
-    if W.size and float(np.abs(W - W.T).max()) > 1e-10:
-        raise ContractError("W is not symmetric within 1e-10")
+    if W.size and float(np.abs(W - W.T).max()) > SYMMETRY_TOL:
+        raise ContractError(f"W is not symmetric within {SYMMETRY_TOL}")
     vals, vecs = scipy.linalg.eigh(W)
     lam_max = vals[-1]
     if not lam_max > 0.0:

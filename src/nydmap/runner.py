@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad configuration or input, 3 numeric failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,13 +62,6 @@ from .spectral import (
 
 DATASETS = ("helix", "swiss_roll", "lorenz", "csv")
 
-_DATASET_ALIASES = {"swiss": "swiss_roll"}
-_METHOD_ALIASES = {
-    "det": "deterministic",
-    "nys-cols": "nystrom_columns",
-    "nys-rp": "nystrom_projection",
-}
-
 _CONFIG_ERRORS = (ParameterError, DataFormatError, DimensionError, IndexingError)
 
 _STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
@@ -114,14 +108,16 @@ class ExperimentConfig:
                 raise ParameterError(f"n must be >= 0 for csv input, got {self.n}")
         elif self.n < 2:
             raise ParameterError(f"need n >= 2 observations, got {self.n}")
-        if not self.sigma > 0.0:
-            raise ParameterError(f"kernel width sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ParameterError(
+                f"kernel width sigma must be finite and > 0, got {self.sigma}"
+            )
         if self.d < 1:
             raise ParameterError(f"target rank d must be >= 1, got {self.d}")
-        if not self.t > 0.0:
-            raise ParameterError(f"diffusion time t must be > 0, got {self.t}")
-        if self.noise_std < 0.0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 < self.t < np.inf:
+            raise ParameterError(f"diffusion time t must be finite and > 0, got {self.t}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.cluster_k < 0:
             raise ParameterError(f"cluster_k must be >= 0, got {self.cluster_k}")
         if self.oversampling < 0:
@@ -494,27 +490,73 @@ def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
 
 
 _BOOL_WORDS = {
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "1": True,
-    "0": False,
+    "true": True, "yes": True, "1": True, "false": False, "no": False, "0": False
 }
 
-_KEY_ALIASES = {"rank": "d", "out": "output_dir", "cluster": "cluster_k"}
+_VALUE_ALIASES = {
+    "swiss": "swiss_roll",
+    "det": "deterministic",
+    "nys-cols": "nystrom_columns",
+    "nys-rp": "nystrom_projection",
+}
+
+_CHOICES = {"dataset": DATASETS, "method": METHODS}
+
+# (ExperimentConfig field, flag name, help) for every flag, in --help order.
+_FLAGS = (
+    ("dataset", "dataset", "dataset to run on"),
+    ("csv_path", "csv-path", "input file for --dataset csv"),
+    ("csv_skip_header", "csv-skip-header", "skip the first row of the CSV input"),
+    ("n", "n", "number of observations (0 = every row of a csv dataset)"),
+    ("sigma", "sigma", "kernel width"),
+    ("d", "rank", "target rank d (embedding components)"),
+    ("t", "t", "diffusion time"),
+    ("method", "method", "decomposition path"),
+    ("oversampling", "oversample", "extra sketch columns beyond d"),
+    ("power_iterations", "power-iters", "subspace iteration passes q"),
+    ("seed", "seed", "RNG seed"),
+    ("output_dir", "out", "output directory"),
+    ("drop_trivial", "drop-trivial", "skip the constant eigenvalue-1 component"),
+    (
+        "classic_weighting",
+        "classic-weighting",
+        "weight components by lambda^t instead of sqrt(lambda^t)",
+    ),
+    ("cluster_k", "cluster", "k-means cluster count (0 = off)"),
+    ("noise_std", "noise-std", "generator noise level"),
+    (
+        "pinv_tolerance",
+        "pinv-tol",
+        "relative pseudo-inverse cutoff and column-pivoting tolerance",
+    ),
+)
+
+# Config-file keys, with "-" read as "_": each field's name and its flag's.
+_KEYS = {k.replace("-", "_"): field for field, flag, _ in _FLAGS for k in (field, flag)}
+
+
+def _parse_value(field, text):
+    """``text`` typed like the field's default, with dataset/method aliases resolved.
+
+    Raises KeyError for an unknown boolean word, ValueError for a bad number.
+    """
+    default = getattr(ExperimentConfig, field)  # a dataclass field's default
+    if isinstance(default, bool):
+        return _BOOL_WORDS[text.lower()]
+    if field in _CHOICES:
+        return _VALUE_ALIASES.get(text, text)
+    return type(default)(text)
 
 
 def load_config_file(path):
     """Parse a key = value config file into a dict of ExperimentConfig fields.
 
-    Blank lines and '#' comments are ignored.  Keys are the ExperimentConfig
-    field names (plus aliases rank, out, cluster); values are typed per
-    field, and the dataset and method take the flags' aliases (swiss,
-    det, nys-cols, nys-rp).  Booleans accept true/false, yes/no, 1/0.
+    Blank lines and '#' comments are ignored.  A key is a field name or its
+    flag's name (rank, oversample, power-iters, out, ...), with '-' and '_'
+    alike.  Values are typed per field, and the dataset and method take the
+    flags' aliases (swiss, det, nys-cols, nys-rp).  Booleans accept
+    true/false, yes/no, 1/0.
     """
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    defaults = ExperimentConfig()
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -524,112 +566,44 @@ def load_config_file(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key = _KEY_ALIASES.get(key.strip(), key.strip())
-            value = value.strip()
-            if key not in types:
+            key, value = key.strip(), value.strip()
+            field = _KEYS.get(key.replace("-", "_"))
+            if field is None:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            default = getattr(defaults, key)
             try:
-                if isinstance(default, bool):
-                    mapping[key] = _BOOL_WORDS[value.lower()]
-                elif isinstance(default, int):
-                    mapping[key] = int(value)
-                elif isinstance(default, float):
-                    mapping[key] = float(value)
-                else:
-                    mapping[key] = value
+                mapping[field] = _parse_value(field, value)
             except (KeyError, ValueError) as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: cannot parse {value!r} for key {key!r}"
                 ) from exc
-    return _resolve_value_aliases(mapping)
-
-
-def _resolve_value_aliases(mapping):
-    """Replace the flags' short dataset and method names by the full ones."""
-    for key, aliases in (("dataset", _DATASET_ALIASES), ("method", _METHOD_ALIASES)):
-        if key in mapping:
-            mapping[key] = aliases.get(mapping[key], mapping[key])
     return mapping
 
 
 def _add_common_flags(parser, include_method):
     # Each dest is an ExperimentConfig field.  A flag left unset reads None
     # and leaves its field alone; store_true flags would read False instead.
-    parser.add_argument(
-        "--dataset",
-        choices=("helix", "swiss", "swiss_roll", "lorenz", "csv"),
-        help="dataset to run on",
-    )
-    parser.add_argument("--csv-path", help="input file for --dataset csv")
-    parser.add_argument(
-        "--csv-skip-header",
-        action="store_true",
-        default=None,
-        help="skip the first row of the CSV input",
-    )
-    parser.add_argument(
-        "--n", type=int, help="number of observations (0 = every row of a csv dataset)"
-    )
-    parser.add_argument("--sigma", type=float, help="kernel width")
-    parser.add_argument(
-        "--rank", dest="d", type=int, help="target rank d (embedding components)"
-    )
-    parser.add_argument("--t", type=float, help="diffusion time")
-    if include_method:
-        parser.add_argument(
-            "--method",
-            choices=tuple(_METHOD_ALIASES) + METHODS,
-            help="decomposition path",
-        )
-    parser.add_argument(
-        "--oversample",
-        dest="oversampling",
-        type=int,
-        help="extra sketch columns beyond d",
-    )
-    parser.add_argument(
-        "--power-iters",
-        dest="power_iterations",
-        type=int,
-        help="subspace iteration passes q",
-    )
-    parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--out", dest="output_dir", help="output directory")
-    parser.add_argument(
-        "--drop-trivial",
-        action="store_true",
-        default=None,
-        help="skip the constant eigenvalue-1 component",
-    )
-    parser.add_argument(
-        "--classic-weighting",
-        action="store_true",
-        default=None,
-        help="weight components by lambda^t instead of sqrt(lambda^t)",
-    )
-    parser.add_argument(
-        "--cluster", dest="cluster_k", type=int, help="k-means cluster count (0 = off)"
-    )
-    parser.add_argument("--noise-std", type=float, help="generator noise level")
-    parser.add_argument(
-        "--pinv-tol",
-        dest="pinv_tolerance",
-        type=float,
-        help="relative pseudo-inverse cutoff and column-pivoting tolerance",
-    )
+    for field, flag, help_text in _FLAGS:
+        if field == "method" and not include_method:
+            continue
+        kwargs = dict(dest=field, default=None, help=help_text)
+        default = getattr(ExperimentConfig, field)
+        if isinstance(default, bool):
+            kwargs["action"] = "store_true"
+        elif field in _CHOICES:
+            kwargs["type"] = functools.partial(_parse_value, field)
+            kwargs["choices"] = _CHOICES[field]
+        else:
+            kwargs["type"] = type(default)
+        parser.add_argument(f"--{flag}", **kwargs)
     parser.add_argument("--config", help="key = value config file (overrides flags)")
 
 
 def _config_from_args(args):
-    overrides = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
+    given = {field: getattr(args, field, None) for field, _, _ in _FLAGS}
+    overrides = {field: value for field, value in given.items() if value is not None}
     if args.config is not None:
         overrides.update(load_config_file(args.config))
-    return ExperimentConfig.from_dict(_resolve_value_aliases(overrides))
+    return ExperimentConfig.from_dict(overrides)
 
 
 def build_parser():

@@ -15,7 +15,7 @@ from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ContractError, DimensionError, ParameterError
-from .kernel import DegreeVector, block_rows_for, gaussian_kernel_block
+from .kernel import DegreeVector, _check_sigma, block_rows_for, gaussian_kernel_block
 
 METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
@@ -220,14 +220,12 @@ def recover_markov_eigvecs(U_sym, deg):
     return fix_signs(V / norms)
 
 
-def deterministic_model(K, deg, d, overwrite_kernel=False):
+def deterministic_model(K, deg, d):
     """Full deterministic pipeline from kernel to SpectralModel.
 
-    Builds A, decomposes it, and recovers Markov eigenvectors.  With
-    ``overwrite_kernel=True`` the kernel buffer is consumed by the
-    normalization (see symmetric_matrix).
+    Builds A, decomposes it, and recovers Markov eigenvectors.
     """
-    A = symmetric_matrix(K, deg, overwrite=overwrite_kernel)
+    A = symmetric_matrix(K, deg)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
     markov = recover_markov_eigvecs(vecs, deg)
     return SpectralModel(vals, vecs, markov, deg, "deterministic")
@@ -248,8 +246,7 @@ class DiffusionOperator:
     """
 
     def __init__(self, data, sigma, deg):
-        if not sigma > 0.0:
-            raise ParameterError(f"kernel width sigma must be > 0, got {sigma}")
+        _check_sigma(sigma)
         if deg.n != data.n:
             raise DimensionError(
                 f"degree length {deg.n} does not match n={data.n}"

@@ -50,8 +50,9 @@ def test_helix_large_sample_means():
 def test_helix_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         generate_helix(1, noise_std=0.0, seed=0)
-    with pytest.raises(ParameterError):
-        generate_helix(100, noise_std=-0.1, seed=0)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            generate_helix(100, noise_std=bad, seed=0)
 
 
 def test_swiss_roll_zero_noise_identity():

@@ -131,13 +131,16 @@ def test_degrees_far_points():
 
 def test_sigma_validation():
     X = _random_data(10, 2, 7)
-    for bad in (0.0, -1.0):
+    deg = degree_vector(X, 1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             gaussian_kernel_matrix(X, bad)
         with pytest.raises(ParameterError):
             gaussian_kernel_columns(X, bad, np.array([0]))
         with pytest.raises(ParameterError):
             degree_vector(X, bad)
+        with pytest.raises(ParameterError):
+            DiffusionOperator(X, bad, deg)
 
 
 def test_block_rows_does_not_change_results(block_rows):

@@ -1,5 +1,6 @@
 import contextlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ def test_sample_columns_near_identity_kernel():
     X = generate_helix(2000, noise_std=0.05, seed=0)
     with _ends_quickly(), pytest.raises(DegeneracyError, match=r"leaves \d+ of 2000 points"):
         _pivoted(X, 1e-4, 60, seed=0)
+
+
+@pytest.mark.parametrize("method", ["deterministic", "nystrom_projection"])
+@pytest.mark.parametrize(
+    "n, copies, sigma, d",
+    [
+        (300, 2, 0.5, 20),
+        # K = I: every off-diagonal entry underflows.
+        (600, 1, 1e-7, 20),
+        # With oversampling 10: l = n, then l = n - 1.
+        (60, 1, 0.5, 50),
+        (61, 1, 0.5, 50),
+    ],
+    ids=["duplicated_points", "identity_kernel", "l_equal_to_n", "l_one_below_n"],
+)
+def test_degenerate_inputs_exact_and_projection(method, n, copies, sigma, d):
+    points = generate_helix(n, noise_std=0.05, seed=0).values
+    X = DataMatrix(np.repeat(points, copies, axis=0))
+    with _ends_quickly(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = decompose(X, sigma, method, d, oversampling=10)
+    assert model.rank_d == d
+    assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
+    assert np.all(np.isfinite(model.eigenvectors_markov))
 
 
 def test_sketch_basis_orthonormal_on_identity():

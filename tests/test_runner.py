@@ -49,9 +49,15 @@ def test_config_validation():
         dict(dataset="csv", csv_path="x.csv", n=-1),
         dict(n=1),
         dict(sigma=0.0),
+        dict(sigma=np.inf),
+        dict(sigma=np.nan),
         dict(d=0),
         dict(t=0.0),
+        dict(t=np.inf),
+        dict(t=np.nan),
         dict(noise_std=-0.1),
+        dict(noise_std=np.inf),
+        dict(noise_std=np.nan),
         dict(cluster_k=-1),
         dict(oversampling=-1),
         dict(power_iterations=-1),
@@ -105,6 +111,9 @@ def test_load_config_file_parsing(tmp_path):
         "cluster = 4\n"
         "csv_skip_header = yes\n"
         "sigma = 0.25\n"
+        "oversample = 4\n"
+        "power-iters = 1\n"
+        "pinv_tol = 1e-10\n"
     )
     assert load_config_file(str(path)) == {
         "d": 7,
@@ -112,6 +121,9 @@ def test_load_config_file_parsing(tmp_path):
         "cluster_k": 4,
         "csv_skip_header": True,
         "sigma": 0.25,
+        "oversampling": 4,
+        "power_iterations": 1,
+        "pinv_tolerance": 1e-10,
     }
     (tmp_path / "bad_key.cfg").write_text("bandwidth = 3\n")
     with pytest.raises(ParameterError):
@@ -122,6 +134,27 @@ def test_load_config_file_parsing(tmp_path):
     (tmp_path / "no_eq.cfg").write_text("n 300\n")
     with pytest.raises(DataFormatError):
         load_config_file(str(tmp_path / "no_eq.cfg"))
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("helix.cfg", dict(n=15000, d=300, output_dir="results/helix")),
+        (
+            "lorenz.cfg",
+            dict(dataset="lorenz", n=30000, sigma=10.0, d=500, output_dir="results/lorenz"),
+        ),
+        (
+            "swiss.cfg",
+            dict(dataset="swiss_roll", n=20000, noise_std=0.0, output_dir="results/swiss"),
+        ),
+    ],
+)
+def test_shipped_config_files_load(name, expected):
+    loaded = load_config_file(os.path.join(ROOT, "configs", name))
+    config = ExperimentConfig.from_dict(loaded).validate()
+    for field, value in expected.items():
+        assert getattr(config, field) == value, field
 
 
 def test_run_experiment_structure(tmp_path):
@@ -687,13 +720,21 @@ def test_main_exit_code_3_on_degenerate_embedding(tmp_path, capsys):
     assert "embedding" in capsys.readouterr().err
 
 
-def test_main_argparse_failures():
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_main_argparse_failures(capsys):
+    for argv in (
+        ["run", "--bogus"],
+        [],
+        ["run", "--dataset", "mnist"],
+        ["run", "--method", "exact"],
+        ["compare", "--method", "det"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["run", "--n", "abc"])
+    assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_package_runs_as_module():
