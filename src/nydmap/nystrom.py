@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ContractError,
@@ -130,7 +129,9 @@ def sample_columns(kernel_columns, n, l, seed, tol):
         G -= F[:, :r] @ F[S, :r].T
         keep, L = _pivot_block_cholesky(G[S], tol)
         if keep.size:
-            block = scipy.linalg.solve_triangular(L, G[:, keep].T, lower=True).T
+            # numpy has no triangular solve; LU of the small L keeps this
+            # loop in numpy's BLAS, off scipy's thread pool.
+            block = np.linalg.solve(L, G[:, keep].T).T
             F[:, r:r + keep.size] = block
             residual -= np.einsum("ij,ij->i", block, block)
             np.maximum(residual, 0.0, out=residual)
@@ -172,34 +173,25 @@ def _pivot_block_cholesky(H, tol):
     return keep, np.array(cols).T[keep] if cols else np.zeros((0, 0))
 
 
-def _orthonormal_columns(Y, rng):
-    """Orthonormal basis for range(Y) via pivoted QR, padded on rank collapse.
+def _orthonormal_columns(Y):
+    """Orthonormal basis Q for range(Y) by Householder QR.
 
-    If the numerical rank of Y falls short of its column count the missing
-    directions are refilled with random vectors orthogonalized against the
-    computed basis, and a RankDeficiencyWarning is emitted.
+    Q is orthonormal whatever the rank of Y, and its columns span range(Y)
+    and more.  If the numerical rank of Y (its singular values, those of R,
+    above n * eps relative to the largest) falls short of its column count,
+    a RankDeficiencyWarning is emitted.
     """
     n, l = Y.shape
-    Q, R, _ = scipy.linalg.qr(Y, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(diag > diag[0] * n * np.finfo(float).eps))
-    if rank == l:
-        return Q
-    warnings.warn(
-        f"sketch rank collapsed to {rank} of {l}; padding with fresh random directions",
-        RankDeficiencyWarning,
-        stacklevel=3,
-    )
-    base = Q[:, :rank]
-    pad = rng.standard_normal((n, l - rank))
-    # Two orthogonalization rounds; one is not always enough near collapse.
-    for _ in range(2):
-        pad -= base @ (base.T @ pad)
-        pad, _ = np.linalg.qr(pad)
-    return np.concatenate([base, pad], axis=1)
+    Q, R = np.linalg.qr(Y)
+    svals = np.linalg.svd(R, compute_uv=False)
+    rank = int(np.count_nonzero(svals > svals[0] * n * np.finfo(float).eps))
+    if rank < l:
+        warnings.warn(
+            f"sketch rank collapsed to {rank} of {l}",
+            RankDeficiencyWarning,
+            stacklevel=3,
+        )
+    return Q
 
 
 def gaussian_sketch_basis(A, n, l, q, seed):
@@ -223,12 +215,11 @@ def gaussian_sketch_basis(A, n, l, q, seed):
         raise ParameterError(f"power iteration count must be >= 0, got {q}")
     if getattr(A, "shape", None) != (n, n):
         raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((n, l))
-    Q = _orthonormal_columns(A @ omega, rng)
+    omega = np.random.default_rng(seed).standard_normal((n, l))
+    Q = _orthonormal_columns(A @ omega)
     for _ in range(q):
-        Q = _orthonormal_columns(A @ Q, rng)
-        Q = _orthonormal_columns(A @ Q, rng)
+        Q = _orthonormal_columns(A @ Q)
+        Q = _orthonormal_columns(A @ Q)
     return Q
 
 
@@ -270,7 +261,7 @@ def psd_inverse_sqrt(W, tol):
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     if W.size and float(np.abs(W - W.T).max()) > SYMMETRY_TOL:
         raise ContractError(f"W is not symmetric within {SYMMETRY_TOL}")
-    vals, vecs = scipy.linalg.eigh(W)
+    vals, vecs = np.linalg.eigh(W)
     lam_max = vals[-1]
     if not lam_max > 0.0:
         raise DegeneracyError(

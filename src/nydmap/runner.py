@@ -421,17 +421,6 @@ def compare_methods(config):
     return _pipeline(config, body)
 
 
-def _write_spectrum_csv(path, spectra):
-    length = max(len(vals) for vals in spectra.values())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("eigval_index," + ",".join(spectra) + "\n")
-        for i in range(length):
-            cells = [str(i)]
-            for vals in spectra.values():
-                cells.append("%.17g" % vals[i] if i < len(vals) else "")
-            fh.write(",".join(cells) + "\n")
-
-
 def _config_lines(config):
     lines = []
     for f in fields(ExperimentConfig):
@@ -454,23 +443,30 @@ def _write_outputs(output_dir, report, embedding_files, config, spectra=None):
     """
     os.makedirs(output_dir, exist_ok=True)
     start = time.perf_counter()
+    tables = []
+    for name, emb, labels in embedding_files:
+        header = [f"c{i + 1}" for i in range(emb.d)]
+        values = emb.coords
+        if labels is not None:
+            header.append("label")
+            values = np.column_stack((emb.coords, labels.labels))
+        tables.append((name, values, header))
+    if spectra is not None:
+        # One row per eigenvalue index; NaN where a method returned fewer.
+        length = max(len(vals) for vals in spectra.values())
+        values = np.full((length, 1 + len(spectra)), np.nan)
+        values[:, 0] = np.arange(length)
+        for j, vals in enumerate(spectra.values(), start=1):
+            values[: len(vals), j] = vals
+        tables.append(("spectrum.csv", values, ["eigval_index", *spectra]))
     # Each path is recorded before its file is opened, so a write that
     # fails part-way still removes its half-written file.
     written = []
     try:
-        for name, emb, labels in embedding_files:
+        for name, values, header in tables:
             path = os.path.join(output_dir, name)
             written.append(path)
-            header = [f"c{i + 1}" for i in range(emb.d)]
-            values = emb.coords
-            if labels is not None:
-                header.append("label")
-                values = np.column_stack((emb.coords, labels.labels))
             save_csv(path, values, header)
-        if spectra is not None:
-            path = os.path.join(output_dir, "spectrum.csv")
-            written.append(path)
-            _write_spectrum_csv(path, spectra)
         path = os.path.join(output_dir, "config.txt")
         written.append(path)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -650,7 +646,3 @@ def main(argv=None):
         return 2 if isinstance(cause, _CONFIG_ERRORS + (OSError,)) else 3
     print(_summarize(report, config.output_dir))
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -65,7 +65,7 @@ def test_criterion_1_low_rank_exactness(acceptance_log):
         deg = DegreeVector(np.ones(n))
         l = min(n, r + 8)
         with warnings.catch_warnings():
-            # l > rank(A), so the padded sketch basis is expected here
+            # l > rank(A), so the sketch rank collapses here
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             Q = gaussian_sketch_basis(A, n, l, q=0, seed=case)
             factors = project(A, Q)

@@ -184,12 +184,20 @@ def test_sketch_basis_orthonormal_on_identity():
 def test_sketch_basis_captures_exact_low_rank_range():
     for seed in range(5):
         A = _low_rank_psd(200, 8, seed)
-        with pytest.warns(RankDeficiencyWarning):
-            # l > rank(A) forces the sketch to collapse and be padded
+        with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed"):
+            # l > rank(A): the sketch collapses, and Householder QR still
+            # returns 16 orthonormal columns spanning range(A).
             Q = gaussian_sketch_basis(A, 200, 16, q=0, seed=seed)
         assert np.abs(Q.T @ Q - np.eye(16)).max() <= 1e-10
         err = np.linalg.norm(A - Q @ (Q.T @ A)) / np.linalg.norm(A)
         assert err <= 1e-10
+
+
+def test_sketch_basis_of_zero_operator_is_orthonormal():
+    with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed to 0 of 6"):
+        Q = gaussian_sketch_basis(np.zeros((40, 40)), 40, 6, q=1, seed=0)
+    assert Q.shape == (40, 6)
+    assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-12
 
 
 def test_sketch_basis_deterministic():
