@@ -188,18 +188,38 @@ def gaussian_kernel_columns(X, sigma, J):
     return cols
 
 
+def degrees_and_product(X, sigma, Z):
+    """Exact kernel row sums and K Z from one pass of full row blocks.
+
+    Blocks hold BLOCK_ENTRIES // n rows, and peak memory is one block
+    besides the n-by-k result.  Each block's row sums are taken before it
+    is multiplied by Z, so the degrees are the bits degree_vector returns.
+    The projection sketch takes its first product here.
+
+    Returns (DegreeVector, K Z).
+    """
+    _check_sigma(sigma)
+    n = X.n
+    if Z.ndim != 2 or Z.shape[0] != n:
+        raise DimensionError(f"Z must be an n-by-k array with n={n}, got shape {Z.shape}")
+    rows = block_rows_for(n)
+    deg = np.empty(n)
+    KZ = np.empty((n, Z.shape[1]))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        block = gaussian_kernel_block(X.values[i0:i1], X.values, sigma)
+        deg[i0:i1] = block.sum(axis=1)
+        np.matmul(block, Z, out=KZ[i0:i1])
+        del block  # free it before the next block is allocated
+    return DegreeVector(deg), KZ
+
+
 def degree_vector(X, sigma):
     """Exact kernel row sums, streamed in blocks of BLOCK_ENTRIES // n rows.
 
     Peak memory is one block, at most BLOCK_ENTRIES entries.  Row sums of a
     materialized kernel matrix reduce over the same contiguous axis in the
-    same order, so both routes agree bitwise.
+    same order, so both routes agree bitwise.  This is degrees_and_product
+    with an n-by-0 Z.
     """
-    _check_sigma(sigma)
-    n = X.n
-    rows = block_rows_for(n)
-    deg = np.empty(n)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        deg[i0:i1] = gaussian_kernel_block(X.values[i0:i1], X.values, sigma).sum(axis=1)
-    return DegreeVector(deg)
+    return degrees_and_product(X, sigma, np.empty((X.n, 0)))[0]

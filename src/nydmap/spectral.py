@@ -77,16 +77,22 @@ def fix_signs(U):
     """Flip column signs so each column's largest-magnitude entry is positive.
 
     Eigenvectors are defined only up to sign; this pins a deterministic
-    representative (ties broken by the first maximal entry).
+    representative (ties broken by the first maximal entry).  The largest
+    magnitude is a column's max or -min; only a column where the two tie
+    (+a and -a, or all zeros) is searched for its first maximal entry.
+    The result is the one copy made.
     """
-    U = np.array(U, dtype=float)
+    U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise DimensionError("expected a matrix of column vectors")
-    if U.shape[1] == 0:
-        return U
-    rows = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[rows, np.arange(U.shape[1])])
-    signs[signs == 0.0] = 1.0
+    top, bottom = U.max(axis=0), U.min(axis=0)
+    signs = np.where(top < -bottom, -1.0, 1.0)
+    # A NaN compares false both ways and is searched too, as argmax would.
+    ties = np.flatnonzero(~((top > -bottom) | (top < -bottom)))
+    if ties.size:
+        rows = np.argmax(np.abs(U[:, ties]), axis=0)
+        signs[ties] = np.sign(U[rows, ties])
+        signs[signs == 0.0] = 1.0
     return U * signs
 
 

@@ -8,6 +8,7 @@ from nydmap import (
     CapacityError,
     DataMatrix,
     DegeneracyError,
+    DimensionError,
     IndexingError,
     NumericError,
     ParameterError,
@@ -16,7 +17,12 @@ from nydmap import (
     gaussian_kernel_matrix,
 )
 from nydmap import kernel
-from nydmap.kernel import BLOCK_ENTRIES, DegreeVector, gaussian_kernel_block
+from nydmap.kernel import (
+    BLOCK_ENTRIES,
+    DegreeVector,
+    degrees_and_product,
+    gaussian_kernel_block,
+)
 from nydmap.spectral import DiffusionOperator
 
 
@@ -116,6 +122,22 @@ def test_degrees_match_materialized_rowsums(block_rows):
     block_rows(1024, 300)
     b = degree_vector(X, 0.6).values
     assert np.array_equal(a, b)
+
+
+def test_degree_pass_with_product(block_rows):
+    # The fused pass gives the same degree bits as the plain one and the
+    # materialized row sums, and K Z over several row blocks.
+    X = _random_data(300, 3, 10)
+    Z = np.random.default_rng(11).normal(size=(300, 7))
+    K = gaussian_kernel_matrix(X, 0.6).values
+    block_rows(64, 300)
+    deg, KZ = degrees_and_product(X, 0.6, Z)
+    assert np.array_equal(deg.values, degree_vector(X, 0.6).values)
+    assert np.array_equal(deg.values, K.sum(axis=1))
+    dense = K @ Z
+    assert np.linalg.norm(KZ - dense) <= 1e-13 * np.linalg.norm(dense)
+    with pytest.raises(DimensionError):
+        degrees_and_product(X, 0.6, Z[:299])
 
 
 def test_degrees_identical_points():

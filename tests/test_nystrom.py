@@ -175,6 +175,16 @@ def test_degenerate_inputs_exact_and_projection(method, n, copies, sigma, d):
     assert np.all(np.isfinite(model.eigenvectors_markov))
 
 
+@pytest.mark.parametrize("copies", [2, 1], ids=["repeated", "distinct"])
+def test_projection_top_eigenpair_is_exact(copies):
+    # A's top eigenpair is 1 and D^1/2 1; the pivoted start spans it
+    # exactly.  A Gaussian start read 0.99980 on both inputs.
+    points = np.random.default_rng(21).normal(size=(600 // copies, 3))
+    X = DataMatrix(np.tile(points, (copies, 1)))
+    model = decompose(X, 0.5, "nystrom_projection", 20)
+    assert abs(model.eigenvalues[0] - 1.0) <= 1e-12
+
+
 def test_sketch_basis_orthonormal_on_identity():
     Q = gaussian_sketch_basis(np.eye(50), 50, 10, q=0, seed=0)
     assert Q.shape == (50, 10)

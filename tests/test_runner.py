@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -18,14 +19,21 @@ from nydmap import (
     ParameterError,
     compare_methods,
     decompose,
+    degree_vector,
+    diffusion_map,
+    gaussian_kernel_matrix,
     generate_helix,
     load_config_file,
     load_csv,
     load_report,
+    relative_embedding_error,
     run_experiment,
     save_csv,
+    symmetric_matrix,
 )
+from nydmap import kernel
 from nydmap.nystrom import PIVOT_ROUNDS
+from nydmap.spectral import METHODS
 from nydmap.runner import _config_from_args, _config_lines, build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -237,17 +245,59 @@ def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries)
     assert kernel_entries == []
 
 
-def test_decompose_projection_takes_given_degrees(kernel_entries):
-    n = 300
-    X = generate_helix(n, noise_std=0.05, seed=1)
-    streamed = decompose(X, 0.5, "nystrom_projection", 10)
-    entries = sum(kernel_entries)
+def test_decompose_rejects_degrees_without_operator(kernel_entries):
+    # The degree pass also forms the first product, so degrees alone would
+    # spare no kernel entry.
+    X = generate_helix(200, noise_std=0.05, seed=0)
+    deg = degree_vector(X, 0.5)
     kernel_entries.clear()
-    given = decompose(X, 0.5, "nystrom_projection", 10, deg=streamed.degrees)
-    assert np.array_equal(given.eigenvalues, streamed.eigenvalues)
-    assert np.array_equal(given.eigenvectors_markov, streamed.eigenvectors_markov)
-    # Only the degree pass, n^2 entries, is skipped.
-    assert entries - sum(kernel_entries) == n * n
+    for method in METHODS:
+        with pytest.raises(ParameterError, match="only with their materialized operator"):
+            decompose(X, 0.5, method, 10, deg=deg)
+    assert kernel_entries == []
+
+
+def test_decompose_projection_matrix_free_matches_materialized():
+    # The fused degree pass on the matrix-free operator and the product by a
+    # materialized A (compare's route) differ only in rounding.
+    X = generate_helix(300, noise_std=0.05, seed=1)
+    deg = degree_vector(X, 0.5)
+    A = symmetric_matrix(gaussian_kernel_matrix(X, 0.5), deg)
+    free = decompose(X, 0.5, "nystrom_projection", 10)
+    dense = decompose(X, 0.5, "nystrom_projection", 10, A=A, deg=deg)
+    assert np.array_equal(free.degrees.values, deg.values)
+    assert np.abs(free.eigenvalues - dense.eigenvalues).max() <= 1e-10
+    err = relative_embedding_error(diffusion_map(dense, 1.0), diffusion_map(free, 1.0))
+    assert err < 1e-8
+
+
+def _half_pass_entries(n):
+    rows = kernel.block_rows_for(n)
+    return sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_decompose_projection_kernel_entries(kernel_entries, block_rows, q):
+    # One full pass for the degrees and the first product, 2q half-pass
+    # multiplies (C = AQ among them) and n entries per pivot column.
+    n, l = 300, 20
+    X = generate_helix(n, noise_std=0.05, seed=1)
+    block_rows(64, n)
+    decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=q)
+    assert sum(kernel_entries) == n * n + 2 * q * _half_pass_entries(n) + n * l
+
+
+def test_decompose_projection_without_power_iterations(kernel_entries, block_rows):
+    n, l = 300, 20
+    X = generate_helix(n, noise_std=0.05, seed=1)
+    block_rows(64, n)
+    model = decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=0)
+    assert sum(kernel_entries) <= n * n + _half_pass_entries(n) + n * l
+    assert model.rank_d == 10
+    assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
+    assert np.all(np.diff(model.eigenvalues) <= 0.0)
+    assert model.eigenvalues[-1] >= 0.0
+    assert np.all(np.isfinite(model.eigenvectors_markov))
 
 
 def test_compare_structure(tmp_path):
@@ -337,28 +387,26 @@ def test_run_columns_near_identity_kernel_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def _tracer():
+    # perfbench/tracer.py, loaded by path: it wraps the layer functions at
+    # its SITES, (module, attribute) pairs, and a name that no longer
+    # resolves breaks only the benchmark's traced run.
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracer_sites():
-    # perfbench/tracer.py wraps the layer functions at these (module,
-    # attribute) sites; a rename in nydmap would silently drop its spans.
-    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    return next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "SITES" for t in node.targets)
-    )
+    return _tracer().SITES
 
 
 def test_tracer_sites_resolve():
-    sites = _tracer_sites()
-    assert sites
-    for path, attr in sites:
-        module, _, cls = path.partition(".")
-        owner = importlib.import_module(f"nydmap.{module}")
-        if cls:
-            owner = getattr(owner, cls)
-        assert callable(getattr(owner, attr, None)), f"{path}.{attr}"
+    tracer = _tracer()
+    assert tracer.SITES
+    for path, attr in tracer.SITES:
+        assert callable(getattr(tracer._owner(path), attr, None)), f"{path}.{attr}"
 
 
 def test_modules_load_every_name_they_import():
@@ -479,6 +527,40 @@ def test_truncation_warning_recorded(tmp_path):
     report = run_experiment(config)
     assert report.effective_rank < 10
     assert any("effective rank" in w for w in report.warnings)
+
+
+def test_compare_scores_truncated_sketches(tmp_path, capsys):
+    # Three tight clusters: the kernel has numerical rank 3, so both sketches
+    # return 3 of the 10 eigenpairs the exact solve returns.
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    points = np.repeat(centers, 20, axis=0) + rng.normal(scale=1e-7, size=(60, 3))
+    src = tmp_path / "clusters.csv"
+    save_csv(str(src), DataMatrix(points))
+    out = tmp_path / "out"
+    code = main([
+        "compare", "--dataset", "csv", "--csv-path", str(src), "--n", "0",
+        "--rank", "10", "--sigma", "0.5", "--oversample", "5", "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    for name in (
+        "report.json",
+        "embedding_deterministic.csv",
+        "embedding_nystrom_projection.csv",
+        "embedding_nystrom_columns.csv",
+        "spectrum.csv",
+        "config.txt",
+    ):
+        assert (out / name).exists()
+    spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert not np.isnan(spectrum[:, :2]).any()
+    assert not np.isnan(spectrum[:3]).any() and np.isnan(spectrum[3:, 2:]).all()
+    report = load_report(str(out / "report.json"))
+    for block in report.comparison.values():
+        assert block["effective_rank"] == 3
+        assert block["relative_error"] >= 0.0
+    truncations = [w for w in report.warnings if "effective rank 3; returning 3" in w]
+    assert len(truncations) == len(report.comparison)
 
 
 def test_partial_outputs_removed_on_write_failure(tmp_path, monkeypatch):

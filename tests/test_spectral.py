@@ -208,6 +208,39 @@ def test_fix_signs_convention():
     assert np.array_equal(fix_signs(fixed), fixed)
 
 
+def _fix_signs_by_argmax(U):
+    # The argmax-over-|U| form fix_signs replaced, kept as its reference.
+    U = np.array(U, dtype=float)
+    if U.shape[1] == 0:
+        return U
+    rows = np.argmax(np.abs(U), axis=0)
+    signs = np.sign(U[rows, np.arange(U.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return U * signs
+
+
+def test_fix_signs_matches_argmax_reference():
+    rng = np.random.default_rng(3)
+    cases = [rng.normal(size=(n, d)) for n, d in ((1, 1), (7, 3), (500, 40))]
+    cases.append(np.zeros((6, 0)))
+    ties = rng.normal(size=(9, 6))
+    ties[:, 4:] = 0.0  # zero columns
+    ties[2, 0], ties[5, 0] = 4.0, -4.0  # +a before -a
+    ties[1, 1], ties[3, 1] = -4.0, 4.0  # -a before +a
+    ties[0, 2], ties[8, 2] = 4.0, -4.0
+    ties[4, 3], ties[6, 3] = -4.0, 4.0
+    ties[7, 4] = -0.0
+    cases.append(ties)
+    for U in cases:
+        before = U.copy()
+        fixed = fix_signs(U)
+        assert np.array_equal(fixed, _fix_signs_by_argmax(U))
+        assert np.array_equal(np.signbit(fixed), np.signbit(_fix_signs_by_argmax(U)))
+        assert np.array_equal(U, before)
+    # The first maximal entry decides: +a, -a, +a, -a.
+    assert np.array_equal(fix_signs(ties)[[2, 1, 0, 4], [0, 1, 2, 3]], [4.0, 4.0, 4.0, 4.0])
+
+
 def test_recover_markov_identity_degrees():
     U = np.linalg.qr(np.random.default_rng(1).normal(size=(30, 4)))[0]
     deg = DegreeVector(np.ones(30))
