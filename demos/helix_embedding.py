@@ -9,14 +9,7 @@ leading coordinate orders points by the curve parameter.
 
 import numpy as np
 
-from nydmap import (
-    degree_vector,
-    deterministic_model,
-    diffusion_distance,
-    diffusion_map,
-    gaussian_kernel_matrix,
-    generate_helix,
-)
+from nydmap import decompose, diffusion_distance, diffusion_map, generate_helix
 
 
 def order_correlation(emb, truth):
@@ -32,9 +25,7 @@ if __name__ == "__main__":
     print("rank correlation of the leading coordinate with curve order:")
     print(f"  {'sigma':>6}  {'lambda_2..4':<28}  correlation")
     for sigma in (0.5, 0.1, 0.05, 0.02):
-        K = gaussian_kernel_matrix(X, sigma)
-        deg = degree_vector(X, sigma)
-        model = deterministic_model(K, deg, d=4)
+        model = decompose(X, sigma, "deterministic", 4)
         emb = diffusion_map(model, t=1.0, d=2, drop_trivial=True)
         eigs = np.array2string(model.eigenvalues[1:], precision=4)
         print(f"  {sigma:>6}  {eigs:<28}  {order_correlation(emb, truth):.4f}")
@@ -42,9 +33,7 @@ if __name__ == "__main__":
     # At the resolved bandwidth, diffusion distance measures separation
     # along the curve, not through the ambient space.
     sigma = 0.02
-    K = gaussian_kernel_matrix(X, sigma)
-    deg = degree_vector(X, sigma)
-    model = deterministic_model(K, deg, d=10)
+    model = decompose(X, sigma, "deterministic", 10)
     emb = diffusion_map(model, t=1.0, d=4, drop_trivial=True)
     i = n // 2
     near, far = i + 10, i + n // 4

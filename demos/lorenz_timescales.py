@@ -8,15 +8,7 @@ slow organization of the two attractor lobes.
 
 import numpy as np
 
-from nydmap import (
-    LorenzParams,
-    degree_vector,
-    deterministic_model,
-    diffusion_map,
-    gaussian_kernel_matrix,
-    integrate_lorenz,
-    subsample_rows,
-)
+from nydmap import LorenzParams, decompose, diffusion_map, integrate_lorenz, subsample_rows
 
 if __name__ == "__main__":
     params = LorenzParams(t_end=2.0, dt=1e-3)
@@ -25,9 +17,7 @@ if __name__ == "__main__":
     print(f"integrated {trajectory.n} states, embedded {X.n} of them")
 
     sigma = 10.0
-    K = gaussian_kernel_matrix(X, sigma)
-    deg = degree_vector(X, sigma)
-    model = deterministic_model(K, deg, d=8)
+    model = decompose(X, sigma, "deterministic", 8)
 
     print("\neigenvalues:")
     print(np.array2string(model.eigenvalues, precision=6))

@@ -7,22 +7,14 @@ parameter because the random walk must travel along the roll.
 
 import numpy as np
 
-from nydmap import (
-    degree_vector,
-    deterministic_model,
-    diffusion_map,
-    gaussian_kernel_matrix,
-    generate_swiss_roll,
-)
+from nydmap import decompose, diffusion_map, generate_swiss_roll
 
 if __name__ == "__main__":
     n = 2000
     sigma = 0.5
     X, roll_param = generate_swiss_roll(n, noise_std=0.0, seed=0)
 
-    K = gaussian_kernel_matrix(X, sigma)
-    deg = degree_vector(X, sigma)
-    model = deterministic_model(K, deg, d=6)
+    model = decompose(X, sigma, "deterministic", 6)
 
     print("top eigenvalues:")
     print(np.array2string(model.eigenvalues, precision=6))

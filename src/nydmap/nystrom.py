@@ -31,7 +31,7 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .kernel import DegreeVector
-from .spectral import SYMMETRY_TOL, SpectralModel, fix_signs, recover_markov_eigvecs
+from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
 
 # The pivoted Cholesky column sampler draws its l pivots in about this
 # many rounds of ceil(l / PIVOT_ROUNDS).  Its first round is a uniform draw
@@ -212,27 +212,6 @@ def _pivot_block_cholesky(H, tol):
     return keep, np.array(cols).T[keep] if cols else np.zeros((0, 0))
 
 
-def _orthonormal_columns(Y):
-    """Orthonormal basis Q for range(Y) by Householder QR.
-
-    Q is orthonormal whatever the rank of Y, and its columns span range(Y)
-    and more.  If the numerical rank of Y (its singular values, those of R,
-    above n * eps relative to the largest) falls short of its column count,
-    a RankDeficiencyWarning is emitted.
-    """
-    n, l = Y.shape
-    Q, R = np.linalg.qr(Y)
-    svals = np.linalg.svd(R, compute_uv=False)
-    rank = int(np.count_nonzero(svals > svals[0] * n * np.finfo(float).eps))
-    if rank < l:
-        warnings.warn(
-            f"sketch rank collapsed to {rank} of {l}",
-            RankDeficiencyWarning,
-            stacklevel=4,
-        )
-    return Q
-
-
 def gaussian_sketch_basis(A, n, l, q, seed):
     """Orthonormal basis capturing the dominant range of a symmetric operator.
 
@@ -261,12 +240,29 @@ def gaussian_sketch_basis(A, n, l, q, seed):
 def subspace_iteration(A, Y, steps):
     """Orthonormal basis for range(A^steps Y), re-orthonormalized after each multiply.
 
-    Y is the first product of the sketch (A times a start block); its QR
-    is followed by ``steps`` multiplies by A, each with its own QR.
+    Y is the first product of the sketch (A times a start block); its
+    Householder QR is followed by ``steps`` multiplies by A, each with its
+    own.  Q is orthonormal whatever the rank, and its columns span
+    range(A^steps Y) and more.  The numerical rank of a product is the
+    count of its singular values (those of R) above n * eps relative to
+    the largest.  If the smallest across the QRs falls short of the column
+    count, one RankDeficiencyWarning names it; a later product's rank can
+    also count noise-level directions that A draws from the columns
+    Householder QR completes.
     """
-    Q = _orthonormal_columns(Y)
-    for _ in range(steps):
-        Q = _orthonormal_columns(A @ Q)
+    n, l = Y.shape
+    rank = l
+    for step in range(steps + 1):
+        Q, R = np.linalg.qr(Y if step == 0 else A @ Q)
+        svals = np.linalg.svd(R, compute_uv=False)
+        cutoff = svals[0] * n * np.finfo(float).eps
+        rank = min(rank, int(np.count_nonzero(svals > cutoff)))
+    if rank < l:
+        warnings.warn(
+            f"sketch rank collapsed to {rank} of {l}",
+            RankDeficiencyWarning,
+            stacklevel=3,
+        )
     return Q
 
 
@@ -327,10 +323,10 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
 
     Forms F = C W^-1/2 (C itself when W = I) and takes its thin SVD;
     eigenvalues are the squared singular values (guaranteeing the diffusion
-    spectrum stays nonnegative) and eigenvectors of A are the left singular
-    vectors.  If the numerical rank of F (same relative cutoff as the
-    pseudo-inverse) is below d, the result is truncated and a
-    RankDeficiencyWarning records the effective rank.
+    spectrum stays nonnegative) and the left singular vectors, eigenvectors
+    of A, give the Markov eigenvectors.  If the numerical rank of F (same
+    relative cutoff as the pseudo-inverse) is below d, the result is
+    truncated and a RankDeficiencyWarning records the effective rank.
 
     Returns
     -------
@@ -363,7 +359,5 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    vals = svals[:keep] ** 2
-    vecs = fix_signs(U[:, :keep])
-    markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(vals, vecs, markov, deg, factors.method)
+    markov = recover_markov_eigvecs(U[:, :keep], deg)
+    return SpectralModel(svals[:keep] ** 2, markov, deg, factors.method)

@@ -308,8 +308,7 @@ def decompose(
     def solve():
         if method == "deterministic":
             vals, vecs = eigendecompose(A, d, check_symmetry=False)
-            markov = recover_markov_eigvecs(vecs, deg)
-            return SpectralModel(vals, vecs, markov, deg, method)
+            return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
         if method == "nystrom_columns":
             factors, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
             return nystrom_eigs(factors, d, col_deg, pinv_tolerance)

@@ -35,14 +35,13 @@ ARPACK_MAXITER = 500
 class SpectralModel:
     """Top-d eigenpairs of the symmetric diffusion operator.
 
-    eigenvalues are sorted descending; eigenvectors_sym columns are
-    orthonormal eigenvectors of A; eigenvectors_markov columns are the
-    corresponding unit-norm eigenvectors of P.  Every eigenvector column is
-    sign-fixed: its largest-magnitude entry is positive.
+    eigenvalues are sorted descending; eigenvectors_markov columns are the
+    corresponding unit-norm eigenvectors of P, each sign-fixed: its
+    largest-magnitude entry is positive.  The eigenvectors of A are
+    sqrt(degrees) * v, normalized.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors_sym: np.ndarray
     eigenvectors_markov: np.ndarray
     degrees: DegreeVector
     method: str
@@ -52,16 +51,16 @@ class SpectralModel:
         if vals.ndim != 1:
             raise DimensionError("eigenvalues must be a vector")
         d = vals.size
-        for name in ("eigenvectors_sym", "eigenvectors_markov"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.ndim != 2 or mat.shape != (self.degrees.n, d):
-                raise DimensionError(
-                    f"{name} must have shape ({self.degrees.n}, {d}), got {mat.shape}"
-                )
-            object.__setattr__(self, name, mat)
+        markov = np.asarray(self.eigenvectors_markov, dtype=float)
+        if markov.shape != (self.degrees.n, d):
+            raise DimensionError(
+                f"eigenvectors_markov must have shape ({self.degrees.n}, {d}), "
+                f"got {markov.shape}"
+            )
         if self.method not in METHODS:
             raise ParameterError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors_markov", markov)
 
     @property
     def n(self):
@@ -211,7 +210,9 @@ def recover_markov_eigvecs(U_sym, deg):
     """Markov-operator eigenvectors from eigenvectors of A.
 
     P = D^-1/2 A D^1/2, so if A u = lam u then v = D^-1/2 u satisfies
-    P v = lam v.  Columns are rescaled to unit norm and sign-fixed.
+    P v = lam v.  Columns are rescaled to unit norm and sign-fixed, so the
+    sign of each column of U_sym does not matter: u and -u give the same
+    column.
     """
     U_sym = np.asarray(U_sym, dtype=float)
     if U_sym.ndim != 2:
@@ -223,7 +224,8 @@ def recover_markov_eigvecs(U_sym, deg):
     V = U_sym / np.sqrt(deg.values)[:, None]
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0.0] = 1.0
-    return fix_signs(V / norms)
+    V /= norms
+    return fix_signs(V)
 
 
 def deterministic_model(K, deg, d):
@@ -233,8 +235,7 @@ def deterministic_model(K, deg, d):
     """
     A = symmetric_matrix(K, deg)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
-    markov = recover_markov_eigvecs(vecs, deg)
-    return SpectralModel(vals, vecs, markov, deg, "deterministic")
+    return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, "deterministic")
 
 
 class DiffusionOperator:

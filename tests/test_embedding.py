@@ -35,7 +35,7 @@ def _hand_model(vals, n=8, seed=0):
     vals = np.asarray(vals, dtype=float)
     d = vals.size
     Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, d)))[0]
-    return SpectralModel(vals, Q, Q, DegreeVector(np.ones(n)), "deterministic")
+    return SpectralModel(vals, Q, DegreeVector(np.ones(n)), "deterministic")
 
 
 def _flat_embedding(coords):

@@ -16,6 +16,7 @@ from nydmap import (
     degree_vector,
     deterministic_model,
     eigendecompose,
+    fix_signs,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
     gaussian_sketch_basis,
@@ -23,11 +24,14 @@ from nydmap import (
     nystrom_eigs,
     project,
     psd_inverse_sqrt,
+    recover_markov_eigvecs,
+    runner,
     sample_columns,
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
 from nydmap.nystrom import NystromFactors
+from nydmap.spectral import SpectralModel
 
 
 def _diffusion_A(n, seed, sigma=0.8, p=3):
@@ -419,7 +423,6 @@ def test_nystrom_model_bitwise_deterministic():
         a = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
         b = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors_sym, b.eigenvectors_sym)
         assert np.array_equal(a.eigenvectors_markov, b.eigenvectors_markov)
         assert a.method == b.method and a.rank_d == b.rank_d
 
@@ -432,5 +435,40 @@ def test_decompose_deterministic_matches_deterministic_model():
     assert model.method == "deterministic" and model.rank_d == 12
     assert np.array_equal(model.degrees.values, expected.degrees.values)
     assert np.array_equal(model.eigenvalues, expected.eigenvalues)
-    assert np.array_equal(model.eigenvectors_sym, expected.eigenvectors_sym)
     assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
+
+
+def _nystrom_eigs_signs_first(factors, d, deg, tol=1e-12):
+    # nystrom_eigs's former route, kept as the reference: it sign-fixed
+    # A's eigenvectors before recovering the Markov ones.
+    l = factors.C.shape[1]
+    F = factors.C
+    if not np.array_equal(factors.W, np.eye(l)):
+        F = F @ psd_inverse_sqrt(factors.W, tol)
+    U, svals, _ = np.linalg.svd(F, full_matrices=False)
+    keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(tol))))
+    markov = recover_markov_eigvecs(fix_signs(U[:, :keep]), deg)
+    return SpectralModel(svals[:keep] ** 2, markov, deg, factors.method)
+
+
+def test_markov_vectors_match_sign_fixed_route(monkeypatch):
+    X, A, deg = _diffusion_A(300, 12, sigma=0.5)
+    Q = gaussian_sketch_basis(A, 300, 25, q=1, seed=1)
+    col_factors, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
+    for factors, dv in ((project(A, Q), deg), (col_factors, col_deg)):
+        model = nystrom_eigs(factors, 15, dv)
+        expected = _nystrom_eigs_signs_first(factors, 15, dv)
+        assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
+    calls = [
+        ("nystrom_projection", {}),
+        ("nystrom_projection", {"A": A, "deg": deg}),
+        ("nystrom_columns", {}),
+    ]
+    for method, operator in calls:
+        model = decompose(X, 0.5, method, 15, seed=1, **operator)
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "nystrom_eigs", _nystrom_eigs_signs_first)
+            expected = decompose(X, 0.5, method, 15, seed=1, **operator)
+        assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)

@@ -563,6 +563,26 @@ def test_compare_scores_truncated_sketches(tmp_path, capsys):
     assert len(truncations) == len(report.comparison)
 
 
+def test_projection_rank_collapse_warned_once(tmp_path, capsys):
+    # The kernel of three tight clusters has numerical rank 3.  Later QRs
+    # of the sketch count noise from Householder completion columns; the
+    # one warning names the smallest rank, the first QR's.
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    points = np.repeat(centers, 20, axis=0) + rng.normal(scale=1e-7, size=(60, 3))
+    src = tmp_path / "clusters.csv"
+    save_csv(str(src), DataMatrix(points))
+    out = tmp_path / "out"
+    code = main([
+        "run", "--method", "nys-rp", "--dataset", "csv", "--csv-path", str(src),
+        "--n", "0", "--rank", "10", "--sigma", "0.5", "--oversample", "5",
+        "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    warnings = load_report(str(out / "report.json")).warnings
+    assert [w for w in warnings if "sketch rank" in w] == ["sketch rank collapsed to 3 of 15"]
+
+
 def test_partial_outputs_removed_on_write_failure(tmp_path, monkeypatch):
     # spectrum.csv is written after the three embedding CSVs; all go.
     written = []

@@ -248,6 +248,30 @@ def test_recover_markov_identity_degrees():
     assert np.allclose(V, fix_signs(U), rtol=0.0, atol=1e-14)
 
 
+def test_recover_markov_ignores_column_signs():
+    # nystrom_eigs hands over unsigned singular vectors: their sign fix
+    # must not change the Markov vectors.
+    rng = np.random.default_rng(4)
+    ties = rng.normal(size=(9, 5))
+    ties[2, 0], ties[5, 0] = 4.0, -4.0  # +a before -a
+    ties[1, 1], ties[3, 1] = -4.0, 4.0  # -a before +a
+    zeros = rng.normal(size=(9, 4))
+    zeros[:, [1, 3]] = 0.0
+    cases = [
+        (rng.normal(size=(7, 3)), rng.uniform(0.5, 3.0, 7)),
+        (rng.normal(size=(500, 40)), rng.uniform(0.5, 3.0, 500)),
+        (ties, np.ones(9)),  # unit degrees keep the ties in V
+        (zeros, rng.uniform(0.5, 3.0, 9)),
+    ]
+    for U, values in cases:
+        deg = DegreeVector(values)
+        before = U.copy()
+        V = recover_markov_eigvecs(U, deg)
+        assert np.array_equal(U, before)
+        assert np.array_equal(V, recover_markov_eigvecs(fix_signs(U), deg))
+        assert np.array_equal(V, recover_markov_eigvecs(-U, deg))
+
+
 def test_recover_markov_residuals_helix():
     X = generate_helix(500, noise_std=0.05, seed=1)
     K = gaussian_kernel_matrix(X, 0.5)
@@ -280,7 +304,6 @@ def test_deterministic_model_fields():
     assert model.method == "deterministic"
     assert model.rank_d == 7
     assert model.eigenvalues.shape == (7,)
-    assert model.eigenvectors_sym.shape == (100, 7)
     assert model.eigenvectors_markov.shape == (100, 7)
     assert -1e-10 <= model.eigenvalues.min() and model.eigenvalues.max() <= 1 + 1e-10
 
@@ -289,10 +312,10 @@ def test_spectral_model_validation():
     deg = DegreeVector(np.ones(4))
     U = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 2)))[0]
     with pytest.raises(ParameterError):
-        SpectralModel(np.array([1.0, 0.5]), U, U, deg, "bogus")
+        SpectralModel(np.array([1.0, 0.5]), U, deg, "bogus")
     with pytest.raises(DimensionError):
-        SpectralModel(np.array([1.0]), U, U, deg, "deterministic")
-    assert SpectralModel(np.array([1.0, 0.5]), U, U, deg, "deterministic").rank_d == 2
+        SpectralModel(np.array([1.0]), U, deg, "deterministic")
+    assert SpectralModel(np.array([1.0, 0.5]), U, deg, "deterministic").rank_d == 2
 
 
 def test_diffusion_operator_matches_dense(block_rows):
