@@ -244,17 +244,22 @@ def subspace_iteration(A, Y, steps):
     Householder QR is followed by ``steps`` multiplies by A, each with its
     own.  Q is orthonormal whatever the rank, and its columns span
     range(A^steps Y) and more.  The numerical rank of a product is the
-    count of its singular values (those of R) above n * eps relative to
-    the largest.  If the smallest across the QRs falls short of the column
-    count, one RankDeficiencyWarning names it; a later product's rank can
-    also count noise-level directions that A draws from the columns
-    Householder QR completes.
+    count of singular values above n * eps relative to the largest, taken
+    from R with its columns scaled to unit norm (a zero column keeps norm
+    1): scaling columns does not change their span, so a start block whose
+    columns differ in size by many decades, such as pivoted_start's, is
+    not mistaken for a rank-deficient one.  If the smallest rank across
+    the QRs falls short of the column count, one RankDeficiencyWarning
+    names it; a later product's rank can also count noise-level directions
+    that A draws from the columns Householder QR completes.
     """
     n, l = Y.shape
     rank = l
     for step in range(steps + 1):
         Q, R = np.linalg.qr(Y if step == 0 else A @ Q)
-        svals = np.linalg.svd(R, compute_uv=False)
+        norms = np.linalg.norm(R, axis=0)
+        norms[norms == 0.0] = 1.0
+        svals = np.linalg.svd(R / norms, compute_uv=False)
         cutoff = svals[0] * n * np.finfo(float).eps
         rank = min(rank, int(np.count_nonzero(svals > cutoff)))
     if rank < l:

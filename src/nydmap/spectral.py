@@ -242,11 +242,12 @@ class DiffusionOperator:
     """Matrix-free block multiply by A = D^-1/2 K D^-1/2.
 
     Rebuilds kernel row blocks of b = BLOCK_ENTRIES // n rows on demand
-    (kernel.block_rows_for), so peak memory stays at most 8 MB per block
-    whatever n is.  K is symmetric, so each multiply evaluates only the
-    upper-triangle block row K[i0:i1, i0:] of every row block and applies
-    it twice, to its own rows and, transposed, to the rows below: about
-    half a kernel pass, (n^2 + n * b) / 2 entries at most.  Products are
+    (kernel.block_rows_for), each one (b, m) buffer of at most 8 MB plus a
+    tile scratch, whatever n is.  K is symmetric, so each multiply
+    evaluates only the upper-triangle block row K[i0:i1, i0:] of every row
+    block and applies it twice, to its own rows and, transposed, to the
+    rows below, through one n-by-k buffer for the transposed products:
+    about half a kernel pass, (n^2 + n * b) / 2 entries at most.  Products are
     bitwise repeatable for a given n, but their rounding depends on b.
     This is the multiply provider for the projection sketch when the
     kernel matrix does not fit or should not be materialized.
@@ -274,13 +275,15 @@ class DiffusionOperator:
             raise DimensionError(f"operand has {B.shape[0]} rows, expected {n}")
         scaled = B * self._inv_root_deg[:, None]
         out = np.zeros((n, B.shape[1]))
+        lower = np.empty_like(out)  # the transposed products, one buffer
         for i0 in range(0, n, self._block_rows):
             i1 = min(i0 + self._block_rows, n)
             block = gaussian_kernel_block(
                 self._points[i0:i1], self._points[i0:], self._sigma
             )
             out[i0:i1] += block @ scaled[i0:]
-            out[i1:] += block[:, i1 - i0:].T @ scaled[i0:i1]
+            np.matmul(block[:, i1 - i0:].T, scaled[i0:i1], out=lower[i1:])
+            out[i1:] += lower[i1:]
             del block  # free it before the next block is allocated
         out *= self._inv_root_deg[:, None]
         return out[:, 0] if single else out

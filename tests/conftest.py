@@ -17,9 +17,9 @@ def kernel_entries(monkeypatch):
     entries = []
     kernel_block = kernel.gaussian_kernel_block
 
-    def counting_block(Xa, Xb, sigma):
+    def counting_block(Xa, Xb, sigma, **kwargs):
         entries.append(len(Xa) * len(Xb))
-        return kernel_block(Xa, Xb, sigma)
+        return kernel_block(Xa, Xb, sigma, **kwargs)
 
     monkeypatch.setattr(kernel, "gaussian_kernel_block", counting_block)
     monkeypatch.setattr(spectral, "gaussian_kernel_block", counting_block)

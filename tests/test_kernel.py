@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,6 +271,68 @@ def test_block_memory_is_two_output_buffers():
         tracemalloc.stop()
     assert block.shape == (1024, 6000)
     assert peak < 2.5 * 1024 * 6000 * 8
+
+
+def _layouts(values):
+    """The same points C-ordered, F-ordered and as a strided column view."""
+    wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+    wide[:, ::2] = values
+    return np.ascontiguousarray(values), np.asfortranarray(values), wide[:, ::2]
+
+
+def _tiled_results(values):
+    # Every layer that evaluates kernel blocks, on points with any layout:
+    # DataMatrix would copy them to C order, so a bare holder of .values
+    # and .n stands in for it.
+    pts = SimpleNamespace(values=values, n=len(values))
+    n = len(values)
+    rng = np.random.default_rng(23)
+    Z, B = rng.normal(size=(n, 5)), rng.normal(size=(n, 4))
+    J = rng.choice(n, size=17, replace=False)
+    deg, KZ = degrees_and_product(pts, 0.6, Z)
+    return [
+        gaussian_kernel_block(values[:90], values, 0.6),
+        gaussian_kernel_matrix(pts, 0.6).values,
+        gaussian_kernel_columns(pts, 0.6, J),
+        deg.values,
+        KZ,
+        DiffusionOperator(pts, 0.6, deg).matmat(B),
+    ]
+
+
+def test_tiles_do_not_change_bits(monkeypatch, block_rows):
+    n = 130
+    block_rows(40, n)  # several row blocks, and strips of shrinking width
+    # One row per tile; 7-row tiles of a 130-wide block, which leave a
+    # ragged last tile of 90 % 7 and 40 % 7 rows; one tile per block.  At
+    # this n the default is one tile per block too, so the reference is
+    # the untiled evaluation order.
+    settings = (1, 7 * n, 1 << 40)
+    assert 90 % 7 and 40 % 7
+    default = kernel.TILE_ENTRIES
+    for p in (1, 3, 7):
+        points = np.random.default_rng(p).normal(size=(n, p))
+        monkeypatch.setattr(kernel, "TILE_ENTRIES", default)
+        reference = _tiled_results(points)
+        for tile_entries in settings:
+            monkeypatch.setattr(kernel, "TILE_ENTRIES", tile_entries)
+            for values in _layouts(points):
+                for got, want in zip(_tiled_results(values), reference):
+                    assert np.array_equal(got, want)
+
+
+def test_block_memory_is_one_buffer_and_a_tile():
+    # 1024 x 6000 at p = 3: the result and a tile scratch, one allocation.
+    X = np.random.default_rng(12).normal(size=(6000, 3))
+    block_bytes = 1024 * 6000 * 8
+    tracemalloc.start()
+    try:
+        block = gaussian_kernel_block(X[:1024], X, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1024, 6000)
+    assert peak < 1.25 * block_bytes + 8 * kernel.TILE_ENTRIES
 
 
 def test_oversized_kernel_raises_capacity_error():

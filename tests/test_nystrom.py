@@ -30,7 +30,7 @@ from nydmap import (
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
-from nydmap.nystrom import NystromFactors
+from nydmap.nystrom import NystromFactors, subspace_iteration
 from nydmap.spectral import SpectralModel
 
 
@@ -212,6 +212,23 @@ def test_sketch_basis_of_zero_operator_is_orthonormal():
         Q = gaussian_sketch_basis(np.zeros((40, 40)), 40, 6, q=1, seed=0)
     assert Q.shape == (40, 6)
     assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-12
+
+
+def test_start_columns_of_many_decades_are_full_rank():
+    # A well-conditioned operator and a start block whose columns range
+    # over fifteen decades in norm, as the late columns of pivoted_start's
+    # block do: the product has full rank and must not be reported as
+    # collapsed.  Unscaled, R's smallest relative singular value is below
+    # the n * eps cutoff.
+    n, l = 200, 12
+    rng = np.random.default_rng(31)
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (V * np.linspace(1.0, 2.0, n)) @ V.T
+    Z = rng.normal(size=(n, l)) * np.logspace(0, -15, l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficiencyWarning)
+        Q = subspace_iteration(A, A @ Z, 2)
+    assert np.abs(Q.T @ Q - np.eye(l)).max() <= 1e-12
 
 
 def test_sketch_basis_deterministic():
