@@ -145,6 +145,18 @@ def block_rows_for(width):
     return max(1, BLOCK_ENTRIES // width)
 
 
+def _available_memory_bytes():
+    """MemAvailable from /proc/meminfo in bytes, or None where unreadable."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def gaussian_kernel_matrix(X, sigma):
     """Build the full n-by-n Gaussian kernel matrix.
 
@@ -165,16 +177,26 @@ def gaussian_kernel_matrix(X, sigma):
     Raises
     ------
     CapacityError
-        If the n*n float64 buffer cannot be allocated.
+        If the n*n float64 buffer exceeds the memory the system reports
+        available, or cannot be allocated.  Under overcommit an allocation
+        larger than that can succeed and the process be killed while the
+        buffer is filled, so the request is checked first.
     """
     _check_sigma(sigma)
     n = X.n
     rows = block_rows_for(n)
+    needed = 8 * n * n
+    available = _available_memory_bytes()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"kernel matrix for n={n} needs {needed} bytes, "
+            f"but only {available} bytes are available"
+        )
     try:
         K = np.empty((n, n))
     except MemoryError as exc:
         raise CapacityError(
-            f"kernel matrix for n={n} needs {8 * n * n} bytes"
+            f"kernel matrix for n={n} needs {needed} bytes"
         ) from exc
     values = X.values
     for i0 in range(0, n, rows):

@@ -4,15 +4,37 @@ From a kernel matrix K with degrees D the module builds the row-stochastic
 Markov matrix P = D^-1 K and the symmetric operator A = D^-1/2 K D^-1/2.
 A and P are similar, so the spectrum is computed on A with a symmetric
 solver and Markov eigenvectors are recovered by scaling with D^-1/2.
+
+The exact solve is the only user of scipy, and it imports scipy when it
+runs (load_exact_solver), so importing the package and running either
+sketch never loads scipy or its own OpenBLAS: about 0.3 s and 33 MB of
+resident memory on a 2-core host.
+
+The Lanczos basis holds ncv = d + p vectors, p = max(d // 2 + 1,
+min(d + 1, 40)) spare ones, at least 20 and at most n in all.  scipy's
+default is p = d + 1.  ARPACK tests convergence only once a Lanczos
+factorization is complete, so on an easy spectrum a basis that large
+computes products past the point where every pair has converged; on a
+hard one the spare vectors are what each restart gains.  Products
+counted with each p (helix and swiss roll noise 0.05, Lorenz sigma 10):
+
+    input                          d     d + 1   d // 2 + 1   this rule
+    helix 2000, seed 0            50       102           90          91
+    helix 6000, seed 1           100       202          152         152
+    Lorenz 3000                  100       202          178         178
+    swiss roll 4000, sigma 0.5   100       662          671         671
+    swiss roll 2000, sigma 0.5    60       735          795         746
+    swiss roll 600, sigma 1       14       657        1,423         657
+    swiss roll 600, sigma 0.5     14     2,951     stalled*       2,951
+
+(*: past ARPACK_MAXITER restarts, to the dense fallback.)  Up to d = 39
+the rule is scipy's default, and for d >= 78 it is d // 2 + 1.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ContractError, DimensionError, ParameterError
 from .kernel import DegreeVector, _check_sigma, block_rows_for, gaussian_kernel_block
@@ -22,8 +44,9 @@ METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 SYMMETRY_TOL = 1e-10
 
 # Restart cap for the Lanczos iteration, from criterion 6's 100 random
-# graphs (k = 6, 14 products per restart): converging calls needed a median
-# of about 4 restarts and at most 189, bar one slow graph at 2,344, and the
+# graphs (k = 6, so ncv = 20 as under scipy's default and still 14
+# products per restart): converging calls needed a median of about 4
+# restarts and at most 189, bar one slow graph at 2,344, and the
 # disconnected ones stalled through ARPACK's default of 10 n restarts
 # (137,501 products at n = 982).  500 leaves 2.6x headroom over 189 and
 # sends the slow and stalled graphs to the dense fallback within about
@@ -137,6 +160,19 @@ def max_asymmetry(A):
     return float(worst)
 
 
+def load_exact_solver():
+    """Import the exact solve's scipy modules and return the scipy package.
+
+    The first call pays the import; later calls find the modules loaded.
+    Callers that time stages call it before their first timed stage, so
+    the import is charged to no stage.
+    """
+    import scipy.linalg.blas
+    import scipy.sparse.linalg
+
+    return scipy
+
+
 def eigendecompose(A, d, check_symmetry=True):
     """Top-d eigenpairs of a symmetric matrix, descending, sign-fixed.
 
@@ -146,7 +182,9 @@ def eigendecompose(A, d, check_symmetry=True):
     default so that repeated runs are bitwise identical.  If the iteration
     stalls (tightly clustered spectrum) or runs past ARPACK_MAXITER
     restarts, the dense solver takes over and a UserWarning records the
-    switch.  Both solvers read only the lower triangle of A.
+    switch.  Both solvers read only the lower triangle of A.  The Lanczos
+    basis is sized to d (see the module docstring).  The solvers are
+    looked up in scipy at call time.
 
     Parameters
     ----------
@@ -174,6 +212,7 @@ def eigendecompose(A, d, check_symmetry=True):
                 f"matrix is asymmetric or not finite: max |A - A^T| = {asym:.3e}"
                 f" > {SYMMETRY_TOL}"
             )
+    scipy = load_exact_solver()
     vals = None
     # ARPACK needs k < n and room for its Krylov basis; below that it beats
     # the dense solver comfortably.
@@ -183,11 +222,17 @@ def eigendecompose(A, d, check_symmetry=True):
         # symmetric_matrix returns), A.T is an F-ordered view whose upper
         # triangle is A's lower one, so nothing is copied.
         upper = np.ascontiguousarray(A).T
-        op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, upper, x), dtype=float)
+        blas, arpack = scipy.linalg.blas, scipy.sparse.linalg
+        op = arpack.LinearOperator(
+            (n, n), matvec=lambda x: blas.dsymv(1.0, upper, x), dtype=float
+        )
         v0 = np.full(n, 1.0 / np.sqrt(n))
+        ncv = min(n, max(20, d + max(d // 2 + 1, min(d + 1, 40))))
         try:
-            vals, vecs = eigsh(op, k=d, which="LA", v0=v0, maxiter=ARPACK_MAXITER)
-        except ArpackNoConvergence:
+            vals, vecs = arpack.eigsh(
+                op, k=d, which="LA", v0=v0, ncv=ncv, maxiter=ARPACK_MAXITER
+            )
+        except arpack.ArpackNoConvergence:
             # Tightly clustered spectra (kernel near identity, disconnected
             # graphs) can stall the Lanczos iteration; the dense solver
             # handles them, at an n*n memory cost that only this

@@ -36,7 +36,7 @@ from nydmap import (
     subsample_rows,
     symmetric_matrix,
 )
-from nydmap.kernel import DegreeVector
+from nydmap.kernel import DegreeVector, _available_memory_bytes
 
 
 def _verdict(log, num, name, ok, detail):
@@ -150,17 +150,6 @@ def test_criterion_4_embedding_error_lorenz(acceptance_log):
         ok,
         f"relative error {err:.2e} <= 0.15, {elapsed:.1f}s < 120s",
     )
-
-
-def _available_memory_bytes():
-    try:
-        with open("/proc/meminfo", "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -342,6 +343,28 @@ def test_oversized_kernel_raises_capacity_error():
     with pytest.raises(CapacityError) as excinfo:
         gaussian_kernel_matrix(X, 0.5)
     assert "bytes" in str(excinfo.value)
+
+
+def test_kernel_matrix_checks_available_memory_first(monkeypatch):
+    # Under overcommit an allocation beyond MemAvailable can succeed and
+    # the process be killed while it is filled, so the request is checked
+    # against the reported figure before any allocation.
+    X = DataMatrix(np.zeros((100, 1)))
+    needed = 8 * 100 * 100
+    monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: needed - 1)
+    with pytest.raises(CapacityError, match=f"needs {needed} bytes, but only"):
+        gaussian_kernel_matrix(X, 0.5)
+    for available in (needed, None):  # enough, or unreadable: no check
+        monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: available)
+        assert gaussian_kernel_matrix(X, 0.5).n == 100
+
+
+def test_available_memory_reads_meminfo():
+    available = kernel._available_memory_bytes()
+    if os.path.exists("/proc/meminfo"):
+        assert available > 0
+    else:
+        assert available is None
 
 
 def test_degree_vector_type_validation():

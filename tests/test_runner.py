@@ -455,6 +455,35 @@ def test_nystrom_uses_no_scipy():
     assert not {m for m in modules if m.split(".")[0] == "scipy"}, modules
 
 
+def test_sketch_pipelines_never_load_scipy(tmp_path):
+    # Importing scipy costs about 0.3 s and 33 MB of resident memory and
+    # loads a second OpenBLAS; only the exact solve needs it.
+    script = f"""
+import sys
+from nydmap import ExperimentConfig, compare_methods, run_experiment
+
+def config(**kw):
+    return ExperimentConfig(n=300, d=8, output_dir={str(tmp_path)!r}, **kw)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+run_experiment(config(method="nystrom_projection"))
+run_experiment(config(method="nystrom_columns", cluster_k=3))
+assert not scipy_modules(), scipy_modules()
+compare_methods(config())
+assert "scipy.sparse.linalg" in scipy_modules(), scipy_modules()
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compare_with_clustering(tmp_path):
     config = _cfg(tmp_path, n=200, d=5, cluster_k=2)
     report = compare_methods(config)
@@ -845,6 +874,21 @@ def test_main_exit_code_2_on_ragged_csv(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--method", "det"], ["compare"]])
+def test_main_exit_code_3_when_kernel_exceeds_available_memory(
+    tmp_path, capsys, monkeypatch, command
+):
+    # The system reports 1 byte less than the 60^2 doubles the kernel needs.
+    monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: 8 * 60 * 60 - 1)
+    out = str(tmp_path / "x")
+    code = main(command + ["--n", "60", "--rank", "4", "--out", out])
+    assert code == 3
+    assert "needs 28800 bytes, but only 28799 bytes are available" in (
+        capsys.readouterr().err
+    )
+    assert not os.path.exists(os.path.join(out, "report.json"))
 
 
 def test_main_exit_code_3_on_degenerate_embedding(tmp_path, capsys):

@@ -3,18 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 
 from nydmap import (
     ContractError,
     DataMatrix,
     DimensionError,
     ParameterError,
+    decompose,
     deterministic_model,
     degree_vector,
     eigendecompose,
     fix_signs,
     gaussian_kernel_matrix,
     generate_helix,
+    generate_swiss_roll,
     markov_matrix,
     recover_markov_eigvecs,
     symmetric_matrix,
@@ -176,6 +179,39 @@ def test_eigendecompose_iterative_path_copies_no_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+@pytest.mark.parametrize(
+    "points, sigma, d, products",
+    [
+        # An easy spectrum: every pair converges within the first
+        # factorization, so a smaller basis stops sooner (102 products
+        # with scipy's default basis, 90 with d // 2 + 1 spare vectors).
+        (lambda: generate_helix(2000, 0.05, 0), 0.5, 50, 91),
+        # A hard spectrum, where the basis differs from scipy's default
+        # (90 vectors against 101; 479 products with the default).
+        (lambda: generate_swiss_roll(600, 0.05, 0)[0], 1.0, 50, 462),
+        # A hard spectrum at small d keeps scipy's default basis and its
+        # 657 products; d // 2 + 1 spare vectors took 1,423.
+        (lambda: generate_swiss_roll(600, 0.05, 0)[0], 1.0, 14, 657),
+    ],
+)
+def test_exact_solve_product_count(monkeypatch, points, sigma, d, products):
+    dsymv = scipy.linalg.blas.dsymv
+    calls = []
+
+    def counting_dsymv(*args, **kwargs):
+        calls.append(1)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dsymv", counting_dsymv)
+    X = points()
+    model = decompose(X, sigma, "deterministic", d)
+    assert len(calls) == products
+    K = gaussian_kernel_matrix(X, sigma)
+    A = symmetric_matrix(K, DegreeVector(K.values.sum(axis=1)), overwrite=True)
+    reference = np.linalg.eigvalsh(A)[::-1][:d]
+    assert np.abs(model.eigenvalues - reference).max() <= 1e-12
 
 
 def test_eigendecompose_parameter_validation():
