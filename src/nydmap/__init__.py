@@ -58,7 +58,6 @@ from .errors import (
 )
 from .kernel import (
     DegreeVector,
-    KernelMatrix,
     degree_vector,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
@@ -106,7 +105,6 @@ __all__ = [
     "ExperimentReport",
     "IndexingError",
     "IntegrationError",
-    "KernelMatrix",
     "LorenzParams",
     "NumericError",
     "NydmapError",

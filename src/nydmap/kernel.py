@@ -1,15 +1,15 @@
 """Gaussian similarity kernel and graph degrees.
 
 The kernel is kappa(x, y) = exp(-||x - y||^2 / sigma) with sigma a squared
-distance scale.  Everything is computed in row blocks of b rows against m
-points, b = BLOCK_ENTRIES // m: m = n for the full matrix, the degrees and
-the matrix-free operator, m = l for l requested kernel columns.  A block
-then holds at most BLOCK_ENTRIES float64 values (8 MB) whatever n is, and
-BLOCK_ENTRIES is the only block-size setting.  Blocks that size stay below
-glibc's 32 MB mmap threshold ceiling, so a pass reuses the same heap pages
-for every block instead of faulting in a fresh mapping.  The full-matrix
-path evaluates the upper triangle once, in row strips K[i0:i0+b, i0:],
-about (n^2 + n*b)/2 entries, and mirrors it.
+distance scale.  Every pass walks its rows with row_blocks, in blocks of
+b = max(1, BLOCK_ENTRIES // m) rows against m points: m = n for the full
+matrix, the degrees and the matrix-free operator, m = l for l requested
+kernel columns.  A block then holds at most BLOCK_ENTRIES float64 values
+(8 MB) whatever n is, and BLOCK_ENTRIES is the only block-size setting.
+Blocks that size stay below glibc's 32 MB mmap threshold ceiling, so a
+pass reuses the same heap pages for every block instead of faulting in a
+fresh mapping.  The full matrix, a plain (n, n) array, evaluates its upper
+triangle once, (n^2 + n*b)/2 entries in strips K[i0:i0+b, i0:], and mirrors it.
 
 A block of b-by-m entries needs one (b, m) float buffer plus a tile
 scratch, whatever the point dimension p, in one allocation.  It is
@@ -43,30 +43,6 @@ from .errors import (
 
 BLOCK_ENTRIES = 1 << 20
 TILE_ENTRIES = 1 << 15
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric positive semidefinite similarity matrix plus its width.
-
-    Invariants (guaranteed by construction, checked in the test suite):
-    exact symmetry, unit diagonal, entries in [0, 1].
-    """
-
-    values: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DimensionError(f"kernel matrix must be square, got {values.shape}")
-        _check_sigma(self.sigma)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    @property
-    def n(self):
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -140,9 +116,12 @@ def _check_sigma(sigma):
         raise ParameterError(f"kernel width sigma must be finite and > 0, got {sigma}")
 
 
-def block_rows_for(width):
-    """Rows per block against ``width`` points: at most BLOCK_ENTRIES entries."""
-    return max(1, BLOCK_ENTRIES // width)
+def row_blocks(n, width):
+    """Bounds (i0, i1) of n rows in blocks of max(1, BLOCK_ENTRIES // width)
+    rows against ``width`` points; BLOCK_ENTRIES is read as the walk starts."""
+    rows = max(1, BLOCK_ENTRIES // width)
+    for i0 in range(0, n, rows):
+        yield i0, min(i0 + rows, n)
 
 
 def _available_memory_bytes():
@@ -172,7 +151,7 @@ def gaussian_kernel_matrix(X, sigma):
 
     Returns
     -------
-    KernelMatrix
+    ndarray, (n, n), C-ordered
 
     Raises
     ------
@@ -184,7 +163,6 @@ def gaussian_kernel_matrix(X, sigma):
     """
     _check_sigma(sigma)
     n = X.n
-    rows = block_rows_for(n)
     needed = 8 * n * n
     available = _available_memory_bytes()
     if available is not None and needed > available:
@@ -199,19 +177,17 @@ def gaussian_kernel_matrix(X, sigma):
             f"kernel matrix for n={n} needs {needed} bytes"
         ) from exc
     values = X.values
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    for i0, i1 in row_blocks(n, n):
         gaussian_kernel_block(values[i0:i1], values[i0:], sigma, out=K[i0:i1, i0:])
         K[i1:, i0:i1] = K[i0:i1, i1:].T
-    return KernelMatrix(K, sigma)
+    return K
 
 
 def gaussian_kernel_columns(X, sigma, J):
     """Columns J of the Gaussian kernel matrix without building the matrix.
 
     J must contain unique indices in [0, n).  Column order follows J.  Row
-    blocks are sized from len(J), BLOCK_ENTRIES // len(J) rows, so a few
-    columns take few blocks and no block exceeds BLOCK_ENTRIES entries.
+    blocks are sized against len(J) points, so a few columns take few blocks.
     """
     _check_sigma(sigma)
     n = X.n
@@ -224,11 +200,9 @@ def gaussian_kernel_columns(X, sigma, J):
         raise IndexingError(f"column index out of range [0, {n})")
     if np.unique(J).size != J.size:
         raise IndexingError("J contains repeated indices")
-    rows = block_rows_for(J.size)
     anchors = X.values[J]
     cols = np.empty((n, J.size))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    for i0, i1 in row_blocks(n, J.size):
         gaussian_kernel_block(X.values[i0:i1], anchors, sigma, out=cols[i0:i1])
     return cols
 
@@ -247,11 +221,9 @@ def degrees_and_product(X, sigma, Z):
     n = X.n
     if Z.ndim != 2 or Z.shape[0] != n:
         raise DimensionError(f"Z must be an n-by-k array with n={n}, got shape {Z.shape}")
-    rows = block_rows_for(n)
     deg = np.empty(n)
     KZ = np.empty((n, Z.shape[1]))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    for i0, i1 in row_blocks(n, n):
         block = gaussian_kernel_block(X.values[i0:i1], X.values, sigma)
         deg[i0:i1] = block.sum(axis=1)
         np.matmul(block, Z, out=KZ[i0:i1])

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -247,7 +248,7 @@ def _dense_operator(X, sigma, run):
     K, _ = run("kernel", lambda: gaussian_kernel_matrix(X, sigma))
     # Row sums of the materialized kernel match the streamed degree_vector
     # bitwise (same per-row reduction).
-    deg, _ = run("degrees", lambda: DegreeVector(K.values.sum(axis=1)))
+    deg, _ = run("degrees", lambda: DegreeVector(K.sum(axis=1)))
     A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
     return A, deg
 
@@ -267,26 +268,30 @@ def decompose(
     matrix-free DiffusionOperator to ``power_iterations`` passes of two
     multiplies, the first product counted, and C = AQ makes one more.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
-    the degrees from its factor (see sample_columns).  d, oversampling and
-    the sketch size are checked against n before any kernel entry is
-    evaluated.
+    the degrees from its factor (see sample_columns).  d, oversampling,
+    power_iterations and the sketch size are checked before any kernel entry
+    is evaluated.
 
     A materialized symmetric operator ``A`` and its degrees ``deg`` replace
     the kernel and degree passes (compare_methods shares one between the
     exact solve and the projection, whose first product is then
-    A @ (D^1/2 Z)); each without the other is a ParameterError.  Column
-    sampling ignores both.  With a ``clock`` (a _StageClock) the kernel,
-    degrees and decomposition stages are timed on it and a failure is
-    raised as a StageFailure naming its stage.
+    A @ (D^1/2 Z)); each without the other is a ParameterError, either not
+    sized to X a DimensionError.  Column sampling ignores both.  A ``clock``
+    (a _StageClock) times the kernel, degrees and decomposition stages and
+    raises a failure as a StageFailure naming its stage.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
+    if power_iterations < 0:
+        raise ParameterError(f"power_iterations must be >= 0, got {power_iterations}")
     if A is not None and deg is None:
         raise ParameterError("a materialized operator A needs its degrees deg")
     if deg is not None and A is None:
         raise ParameterError("degrees deg are taken only with their materialized operator A")
+    if A is not None and (A.shape != (X.n, X.n) or deg.n != X.n):
+        raise DimensionError(f"A {A.shape} and deg ({deg.n},) must match n={X.n}")
     if not 1 <= d <= X.n:
         raise ParameterError(f"need 1 <= d <= n={X.n}, got d={d}")
     if method != "deterministic":
@@ -600,16 +605,17 @@ def _parse_value(field, text):
 def load_config_file(path):
     """Parse a key = value config file into a dict of ExperimentConfig fields.
 
-    Blank lines and '#' comments are ignored.  A key is a field name or its
-    flag's name (rank, oversample, power-iters, out, ...), with '-' and '_'
-    alike.  Values are typed per field, and the dataset and method take the
-    flags' aliases (swiss, det, nys-cols, nys-rp).  Booleans accept
-    true/false, yes/no, 1/0.
+    Blank lines and comments are ignored: a '#' at the start of a line or
+    after whitespace starts one, so a value may hold '#' elsewhere.  A key
+    is a field name or its flag's name (rank, oversample, power-iters, out,
+    ...), with '-' and '_' alike.  Values are typed per field, and the
+    dataset and method take the flags' aliases (swiss, det, nys-cols,
+    nys-rp).  Booleans accept true/false, yes/no, 1/0.
     """
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")

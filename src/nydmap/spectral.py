@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .kernel import DegreeVector, _check_sigma, block_rows_for, gaussian_kernel_block
+from .kernel import DegreeVector, _check_sigma, gaussian_kernel_block, row_blocks
 
 METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
@@ -118,11 +118,15 @@ def fix_signs(U):
     return U * signs
 
 
+def _check_kernel(K, deg):
+    if K.shape != (deg.n, deg.n):
+        raise DimensionError(f"kernel shape {K.shape} does not match degree length {deg.n}")
+
+
 def markov_matrix(K, deg):
     """Row-stochastic transition matrix P with P[i, j] = K[i, j] / deg[i]."""
-    if deg.n != K.n:
-        raise DimensionError(f"degree length {deg.n} does not match n={K.n}")
-    return K.values / deg.values[:, None]
+    _check_kernel(K, deg)
+    return K / deg.values[:, None]
 
 
 def symmetric_matrix(K, deg, overwrite=False):
@@ -130,19 +134,15 @@ def symmetric_matrix(K, deg, overwrite=False):
 
     The denominator is formed as the product sqrt(deg[i]) * sqrt(deg[j]),
     which is commutative, so A is exactly as symmetric as K.  With
-    ``overwrite=True`` the kernel buffer is normalized in place and the
-    KernelMatrix must not be used afterwards; this halves peak memory for
-    large n.  The temporary denominators are formed in row blocks of
-    kernel.block_rows_for(n) rows.
+    ``overwrite=True`` K is normalized in place and returned as A, which
+    halves peak memory for large n.  The temporary denominators are formed
+    one row block at a time.
     """
-    if deg.n != K.n:
-        raise DimensionError(f"degree length {deg.n} does not match n={K.n}")
-    rows = block_rows_for(K.n)
+    _check_kernel(K, deg)
     root = np.sqrt(deg.values)
-    out = K.values if overwrite else np.empty_like(K.values)
-    for i0 in range(0, K.n, rows):
-        i1 = min(i0 + rows, K.n)
-        np.divide(K.values[i0:i1], root[i0:i1, None] * root[None, :], out=out[i0:i1])
+    out = K if overwrite else np.empty_like(K)
+    for i0, i1 in row_blocks(deg.n, deg.n):
+        np.divide(K[i0:i1], root[i0:i1, None] * root[None, :], out=out[i0:i1])
     return out
 
 
@@ -152,10 +152,8 @@ def max_asymmetry(A):
     NaN when A has a non-finite entry.
     """
     n = A.shape[0]
-    rows = block_rows_for(n)
     worst = 0.0
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    for i0, i1 in row_blocks(n, n):
         worst = np.maximum(worst, np.abs(A[i0:i1, :] - A[:, i0:i1].T).max())
     return float(worst)
 
@@ -286,14 +284,15 @@ def deterministic_model(K, deg, d):
 class DiffusionOperator:
     """Matrix-free block multiply by A = D^-1/2 K D^-1/2.
 
-    Rebuilds kernel row blocks of b = BLOCK_ENTRIES // n rows on demand
-    (kernel.block_rows_for), each one (b, m) buffer of at most 8 MB plus a
-    tile scratch, whatever n is.  K is symmetric, so each multiply
+    Rebuilds the kernel's row blocks on demand, walked by kernel.row_blocks
+    with b = BLOCK_ENTRIES // n rows, each one (b, m) buffer of at most 8 MB
+    plus a tile scratch, whatever n is.  K is symmetric, so each multiply
     evaluates only the upper-triangle block row K[i0:i1, i0:] of every row
     block and applies it twice, to its own rows and, transposed, to the
     rows below, through one n-by-k buffer for the transposed products:
-    about half a kernel pass, (n^2 + n * b) / 2 entries at most.  Products are
-    bitwise repeatable for a given n, but their rounding depends on b.
+    about half a kernel pass, (n^2 + n * b) / 2 entries at most.  Each
+    multiply reads BLOCK_ENTRIES as it starts.  Products are bitwise
+    repeatable for a given n, but their rounding depends on b.
     This is the multiply provider for the projection sketch when the
     kernel matrix does not fit or should not be materialized.
     """
@@ -307,7 +306,6 @@ class DiffusionOperator:
         self._points = data.values
         self._sigma = float(sigma)
         self._inv_root_deg = 1.0 / np.sqrt(deg.values)
-        self._block_rows = block_rows_for(data.n)
         self.shape = (data.n, data.n)
 
     def matmat(self, B):
@@ -321,8 +319,7 @@ class DiffusionOperator:
         scaled = B * self._inv_root_deg[:, None]
         out = np.zeros((n, B.shape[1]))
         lower = np.empty_like(out)  # the transposed products, one buffer
-        for i0 in range(0, n, self._block_rows):
-            i1 = min(i0 + self._block_rows, n)
+        for i0, i1 in row_blocks(n, n):
             block = gaussian_kernel_block(
                 self._points[i0:i1], self._points[i0:], self._sigma
             )

@@ -217,7 +217,7 @@ def _markov_invariants(X, sigma):
     """Criterion 6's four measurements on one graph: worst row-sum error,
     |top eigenvalue - 1|, max |eigenvalue| - 1 and worst residual."""
     K = gaussian_kernel_matrix(X, sigma)
-    deg = DegreeVector(K.values.sum(axis=1))
+    deg = DegreeVector(K.sum(axis=1))
     P = markov_matrix(K, deg)
     row = float(np.abs(P.sum(axis=1) - 1.0).max())
     model = deterministic_model(K, deg, min(X.n, 6))

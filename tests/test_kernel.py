@@ -35,7 +35,7 @@ def _random_data(n, p, seed):
 def test_unit_diagonal_and_entry_range():
     for seed in range(5):
         X = _random_data(60, 3, seed)
-        K = gaussian_kernel_matrix(X, 0.7).values
+        K = gaussian_kernel_matrix(X, 0.7)
         assert np.all(np.diag(K) == 1.0)
         assert K.min() >= 0.0 and K.max() <= 1.0
 
@@ -43,7 +43,7 @@ def test_unit_diagonal_and_entry_range():
 def test_two_points_at_distance_sqrt_sigma():
     sigma = 0.37
     X = DataMatrix(np.array([[0.0], [math.sqrt(sigma)]]))
-    K = gaussian_kernel_matrix(X, sigma).values
+    K = gaussian_kernel_matrix(X, sigma)
     assert abs(K[0, 1] - 0.36787944117144233) < 1e-15
 
 
@@ -51,7 +51,7 @@ def test_three_point_hand_table():
     # Pairwise squared distances 1, 4 and 5 at sigma = 0.5 give entries
     # exp(-2), exp(-8), exp(-10); decimals below were computed separately.
     X = DataMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
-    K = gaussian_kernel_matrix(X, 0.5).values
+    K = gaussian_kernel_matrix(X, 0.5)
     expected = np.array(
         [
             [1.0, 0.1353352832366127, 0.00033546262790251185],
@@ -65,9 +65,9 @@ def test_three_point_hand_table():
 def test_exact_symmetry_across_blockings(block_rows):
     X = _random_data(300, 4, 0)
     block_rows(64, 300)
-    K_small_blocks = gaussian_kernel_matrix(X, 1.1).values
+    K_small_blocks = gaussian_kernel_matrix(X, 1.1)
     block_rows(1024, 300)
-    K_one_block = gaussian_kernel_matrix(X, 1.1).values
+    K_one_block = gaussian_kernel_matrix(X, 1.1)
     assert np.abs(K_small_blocks - K_small_blocks.T).max() == 0.0
     assert np.array_equal(K_small_blocks, K_one_block)
 
@@ -75,14 +75,14 @@ def test_exact_symmetry_across_blockings(block_rows):
 def test_kernel_is_positive_semidefinite():
     for seed, n in ((0, 120), (1, 300), (2, 500)):
         X = _random_data(n, 3, seed)
-        K = gaussian_kernel_matrix(X, 0.9).values
+        K = gaussian_kernel_matrix(X, 0.9)
         vals = np.linalg.eigvalsh(K)
         assert vals[0] >= -1e-10 * vals[-1]
 
 
 def test_columns_match_full_matrix():
     X = _random_data(200, 3, 3)
-    K = gaussian_kernel_matrix(X, 0.5).values
+    K = gaussian_kernel_matrix(X, 0.5)
     J = np.random.default_rng(4).choice(200, size=40, replace=False)
     cols = gaussian_kernel_columns(X, 0.5, J)
     assert np.array_equal(cols, K[:, J])
@@ -90,7 +90,7 @@ def test_columns_match_full_matrix():
 
 def test_columns_complete_and_single():
     X = _random_data(50, 2, 5)
-    K = gaussian_kernel_matrix(X, 0.8).values
+    K = gaussian_kernel_matrix(X, 0.8)
     assert np.array_equal(gaussian_kernel_columns(X, 0.8, np.arange(50)), K)
     single = gaussian_kernel_columns(X, 0.8, np.array([17]))
     assert single.shape == (50, 1)
@@ -114,7 +114,7 @@ def test_columns_index_validation():
 def test_degrees_match_materialized_rowsums(block_rows):
     for seed, p in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 1), (5, 7)):
         X = _random_data(200, p, seed)
-        K = gaussian_kernel_matrix(X, 0.6).values
+        K = gaussian_kernel_matrix(X, 0.6)
         deg = degree_vector(X, 0.6).values
         assert np.array_equal(deg, K.sum(axis=1))
     # multi-block streaming agrees with the single-block path bitwise
@@ -131,7 +131,7 @@ def test_degree_pass_with_product(block_rows):
     # materialized row sums, and K Z over several row blocks.
     X = _random_data(300, 3, 10)
     Z = np.random.default_rng(11).normal(size=(300, 7))
-    K = gaussian_kernel_matrix(X, 0.6).values
+    K = gaussian_kernel_matrix(X, 0.6)
     block_rows(64, 300)
     deg, KZ = degrees_and_product(X, 0.6, Z)
     assert np.array_equal(deg.values, degree_vector(X, 0.6).values)
@@ -171,17 +171,17 @@ def test_block_rows_does_not_change_results(block_rows):
     for p in (3, 1, 7):
         X = _random_data(137, p, 8)
         block_rows(137, 137)
-        K_ref = gaussian_kernel_matrix(X, 0.5).values
+        K_ref = gaussian_kernel_matrix(X, 0.5)
         for block in (1, 7, 64, 100):
             block_rows(block, 137)
-            assert np.array_equal(gaussian_kernel_matrix(X, 0.5).values, K_ref)
+            assert np.array_equal(gaussian_kernel_matrix(X, 0.5), K_ref)
 
 
 def test_default_blocks_split_large_n(kernel_entries, block_rows):
     n = 2003  # prime, and above BLOCK_ENTRIES // n rows: several blocks
     X = _random_data(n, 3, 14)
     deg = degree_vector(X, 0.5)
-    K = gaussian_kernel_matrix(X, 0.5).values
+    K = gaussian_kernel_matrix(X, 0.5)
     J = np.random.default_rng(15).choice(n, size=60, replace=False)
     cols = gaussian_kernel_columns(X, 0.5, J)
     DiffusionOperator(X, 0.5, deg).matmat(np.ones((n, 2)))
@@ -191,7 +191,7 @@ def test_default_blocks_split_large_n(kernel_entries, block_rows):
     assert max(kernel_entries) <= BLOCK_ENTRIES
 
     block_rows(n, n)
-    K_one_block = gaussian_kernel_matrix(X, 0.5).values
+    K_one_block = gaussian_kernel_matrix(X, 0.5)
     assert np.array_equal(deg.values, K.sum(axis=1))
     assert np.array_equal(K, K_one_block)
     assert np.abs(K - K.T).max() == 0.0
@@ -202,7 +202,7 @@ def test_default_blocks_split_large_n(kernel_entries, block_rows):
 def test_column_blocks_match_full_matrix(kernel_entries, block_rows):
     n = 200
     X = _random_data(n, 3, 18)
-    K = gaussian_kernel_matrix(X, 0.5).values
+    K = gaussian_kernel_matrix(X, 0.5)
     J = np.random.default_rng(19).choice(n, size=40, replace=False)
     block_rows(7, J.size)
     kernel_entries.clear()
@@ -293,7 +293,7 @@ def _tiled_results(values):
     deg, KZ = degrees_and_product(pts, 0.6, Z)
     return [
         gaussian_kernel_block(values[:90], values, 0.6),
-        gaussian_kernel_matrix(pts, 0.6).values,
+        gaussian_kernel_matrix(pts, 0.6),
         gaussian_kernel_columns(pts, 0.6, J),
         deg.values,
         KZ,
@@ -356,7 +356,7 @@ def test_kernel_matrix_checks_available_memory_first(monkeypatch):
         gaussian_kernel_matrix(X, 0.5)
     for available in (needed, None):  # enough, or unreadable: no check
         monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: available)
-        assert gaussian_kernel_matrix(X, 0.5).n == 100
+        assert gaussian_kernel_matrix(X, 0.5).shape[0] == 100
 
 
 def test_available_memory_reads_meminfo():

@@ -15,6 +15,7 @@ from nydmap import (
     decompose,
     degree_vector,
     deterministic_model,
+    diffusion_map,
     eigendecompose,
     fix_signs,
     gaussian_kernel_columns,
@@ -25,6 +26,7 @@ from nydmap import (
     project,
     psd_inverse_sqrt,
     recover_markov_eigvecs,
+    relative_embedding_error,
     runner,
     sample_columns,
     symmetric_matrix,
@@ -65,7 +67,7 @@ def _pivoted(X, sigma, l, seed, tol=1e-12):
 
 def test_sample_columns_matches_materialized_operator():
     X, _, _ = _diffusion_A(300, 0)
-    K = gaussian_kernel_matrix(X, 0.8).values
+    K = gaussian_kernel_matrix(X, 0.8)
     factors, deg, J = _pivoted(X, 0.8, 50, seed=1)
     assert J.shape == (50,)
     assert np.unique(J).size == 50 and J.min() >= 0 and J.max() < 300
@@ -412,6 +414,36 @@ def test_nystrom_matches_deterministic_on_helix():
     model = nystrom_eigs(project(A, Q), 12, deg)
     rel = np.abs(model.eigenvalues[:6] - det_vals[:6]) / det_vals[:6]
     assert rel.max() <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def helix_2000():
+    """Acceptance criteria 2 and 3's helix and its exact model."""
+    X = generate_helix(2000, noise_std=0.05, seed=0)
+    return X, decompose(X, 0.5, "deterministic", 50)
+
+
+def _projection(X, seed):
+    # The projection users run: pivoted start on the matrix-free operator.
+    return decompose(
+        X, 0.5, "nystrom_projection", 50, oversampling=10, power_iterations=2, seed=seed
+    )
+
+
+def test_projection_path_spectrum_fidelity(helix_2000):
+    # Criterion 2's data and bound through decompose.
+    X, exact = helix_2000
+    top = exact.eigenvalues[:25]
+    for seed in range(5):
+        rel = np.abs(_projection(X, seed).eigenvalues[:25] - top) / top
+        assert rel.max() <= 1e-6
+
+
+def test_projection_path_embedding_error(helix_2000):
+    # Criterion 3's data and bound through decompose.
+    X, exact = helix_2000
+    err = relative_embedding_error(diffusion_map(exact, 1.0), diffusion_map(_projection(X, 0), 1.0))
+    assert err <= 1e-3
 
 
 def test_more_power_iterations_do_not_hurt_on_average():

@@ -14,6 +14,7 @@ import pytest
 from nydmap import (
     DataFormatError,
     DataMatrix,
+    DimensionError,
     ExperimentConfig,
     ExperimentReport,
     ParameterError,
@@ -32,6 +33,7 @@ from nydmap import (
     symmetric_matrix,
 )
 from nydmap import kernel
+from nydmap.kernel import DegreeVector
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
 from nydmap.runner import _config_from_args, _config_lines, build_parser, main
@@ -108,6 +110,14 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(_config_lines(cfg))
     rebuilt = ExperimentConfig.from_dict(load_config_file(str(path)))
     assert rebuilt == cfg
+
+
+def test_config_file_keeps_hash_inside_values(tmp_path):
+    # '#' opens a comment only at a line start or after whitespace.
+    cfg = ExperimentConfig(dataset="csv", csv_path="runs#2/points.csv", output_dir="out#1")
+    path = tmp_path / "hash.cfg"
+    path.write_text(_config_lines(cfg))
+    assert ExperimentConfig.from_dict(load_config_file(str(path))) == cfg
 
 
 def test_load_config_file_parsing(tmp_path):
@@ -245,6 +255,25 @@ def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries)
     assert kernel_entries == []
 
 
+def test_decompose_rejects_negative_power_iterations(kernel_entries):
+    X = generate_helix(300, noise_std=0.05, seed=0)
+    for method in METHODS:
+        with pytest.raises(ParameterError, match="power_iterations must be >= 0"):
+            decompose(X, 0.5, method, 10, power_iterations=-3)
+    assert kernel_entries == []
+
+
+def test_decompose_rejects_operator_of_another_size(kernel_entries):
+    X = generate_helix(300, noise_std=0.05, seed=0)
+    small, small_deg = np.eye(200), DegreeVector(np.ones(200))
+    pairs = [(small, small_deg), (np.eye(300), small_deg), (small, DegreeVector(np.ones(300)))]
+    for method in ("deterministic", "nystrom_projection"):
+        for A, deg in pairs:
+            with pytest.raises(DimensionError, match="must match n=300"):
+                decompose(X, 0.5, method, 10, A=A, deg=deg)
+    assert kernel_entries == []
+
+
 def test_decompose_rejects_degrees_without_operator(kernel_entries):
     # The degree pass also forms the first product, so degrees alone would
     # spare no kernel entry.
@@ -272,8 +301,7 @@ def test_decompose_projection_matrix_free_matches_materialized():
 
 
 def _half_pass_entries(n):
-    rows = kernel.block_rows_for(n)
-    return sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
+    return sum((i1 - i0) * (n - i0) for i0, i1 in kernel.row_blocks(n, n))
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -22,7 +22,7 @@ from nydmap import (
     recover_markov_eigvecs,
     symmetric_matrix,
 )
-from nydmap.kernel import DegreeVector, KernelMatrix
+from nydmap.kernel import DegreeVector
 from nydmap.spectral import DiffusionOperator, SpectralModel, max_asymmetry
 
 
@@ -34,7 +34,7 @@ def _diffusion_parts(n, p, seed, sigma=0.8):
 
 
 def test_markov_all_ones_kernel():
-    K = KernelMatrix(np.ones((3, 3)), 1.0)
+    K = np.ones((3, 3))
     deg = DegreeVector(np.full(3, 3.0))
     P = markov_matrix(K, deg)
     assert np.allclose(P, 1.0 / 3.0, rtol=0.0, atol=1e-16)
@@ -55,7 +55,7 @@ def test_markov_hand_division():
             [0.00033546262790251185, 4.5399929762484854e-05, 1.0],
         ]
     )
-    K = KernelMatrix(values, 0.5)
+    K = values
     deg = DegreeVector(values.sum(axis=1))
     P = markov_matrix(K, deg)
     for i in range(3):
@@ -64,7 +64,7 @@ def test_markov_hand_division():
 
 
 def test_markov_dimension_mismatch():
-    K = KernelMatrix(np.eye(3), 1.0)
+    K = np.eye(3)
     with pytest.raises(DimensionError):
         markov_matrix(K, DegreeVector(np.ones(4)))
 
@@ -79,7 +79,7 @@ def test_symmetric_far_points_is_identity():
 
 def test_symmetric_all_ones_kernel_spectrum():
     n = 6
-    K = KernelMatrix(np.ones((n, n)), 1.0)
+    K = np.ones((n, n))
     deg = DegreeVector(np.full(n, float(n)))
     A = symmetric_matrix(K, deg)
     assert np.allclose(A, 1.0 / n, rtol=0.0, atol=1e-16)
@@ -101,7 +101,7 @@ def test_symmetric_exactly_symmetric_and_overwrite(block_rows):
     assert np.abs(A - A.T).max() == 0.0
     # the in-place path consumes the kernel buffer but yields the same bits
     A2 = symmetric_matrix(K, deg, overwrite=True)
-    assert A2 is K.values
+    assert A2 is K
     assert np.array_equal(A, A2)
     block_rows(32, 150)
     assert max_asymmetry(A) == 0.0
@@ -209,7 +209,7 @@ def test_exact_solve_product_count(monkeypatch, points, sigma, d, products):
     model = decompose(X, sigma, "deterministic", d)
     assert len(calls) == products
     K = gaussian_kernel_matrix(X, sigma)
-    A = symmetric_matrix(K, DegreeVector(K.values.sum(axis=1)), overwrite=True)
+    A = symmetric_matrix(K, DegreeVector(K.sum(axis=1)), overwrite=True)
     reference = np.linalg.eigvalsh(A)[::-1][:d]
     assert np.abs(model.eigenvalues - reference).max() <= 1e-12
 
