@@ -63,7 +63,6 @@ from .kernel import (
     gaussian_kernel_matrix,
 )
 from .nystrom import (
-    NystromFactors,
     gaussian_sketch_basis,
     nystrom_eigs,
     project,
@@ -108,7 +107,6 @@ __all__ = [
     "LorenzParams",
     "NumericError",
     "NydmapError",
-    "NystromFactors",
     "ParameterError",
     "RankDeficiencyWarning",
     "SpectralModel",

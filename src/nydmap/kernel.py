@@ -136,6 +136,25 @@ def _available_memory_bytes():
     return None
 
 
+def _checked_square(n, what):
+    """An uninitialized n-by-n float64 array, or a CapacityError naming ``what``.
+
+    Under overcommit an allocation beyond MemAvailable can succeed and the
+    process be killed while it is filled, so the request is checked first.
+    """
+    needed = 8 * n * n
+    available = _available_memory_bytes()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"{what} for n={n} needs {needed} bytes, "
+            f"but only {available} bytes are available"
+        )
+    try:
+        return np.empty((n, n))
+    except MemoryError as exc:
+        raise CapacityError(f"{what} for n={n} needs {needed} bytes") from exc
+
+
 def gaussian_kernel_matrix(X, sigma):
     """Build the full n-by-n Gaussian kernel matrix.
 
@@ -157,25 +176,11 @@ def gaussian_kernel_matrix(X, sigma):
     ------
     CapacityError
         If the n*n float64 buffer exceeds the memory the system reports
-        available, or cannot be allocated.  Under overcommit an allocation
-        larger than that can succeed and the process be killed while the
-        buffer is filled, so the request is checked first.
+        available, or cannot be allocated (see _checked_square).
     """
     _check_sigma(sigma)
     n = X.n
-    needed = 8 * n * n
-    available = _available_memory_bytes()
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"kernel matrix for n={n} needs {needed} bytes, "
-            f"but only {available} bytes are available"
-        )
-    try:
-        K = np.empty((n, n))
-    except MemoryError as exc:
-        raise CapacityError(
-            f"kernel matrix for n={n} needs {needed} bytes"
-        ) from exc
+    K = _checked_square(n, "kernel matrix")
     values = X.values
     for i0, i1 in row_blocks(n, n):
         gaussian_kernel_block(values[i0:i1], values[i0:], sigma, out=K[i0:i1, i0:])

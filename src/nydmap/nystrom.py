@@ -1,25 +1,25 @@
 """Nystrom low-rank approximation of the symmetric diffusion operator.
 
-Two ways to build the factors of A ~= C W^-1 C^T:
+Both sketches reduce A ~= C W^+ C^T to one n-by-l factor F with
+A ~= F F^T:
 
 * pivoted column sampling: block randomly pivoted Cholesky picks the
-  kernel columns J and builds K ~= F F^T from them alone; the degrees are
-  taken from the factor, deg ~= F (F^T 1), and C = D^-1/2 F with W = I, so
+  kernel columns J and builds K ~= F_K F_K^T from them alone; the degrees
+  are taken from the factor, deg ~= F_K (F_K^T 1), and F = D^-1/2 F_K, so
   no step touches all n^2 kernel entries;
 * random projection: an orthonormal sketch basis Q is computed by
-  subspace iteration, then C = AQ, W = Q^T C.  gaussian_sketch_basis
-  starts it from Gaussian noise; ``runner.decompose`` starts it from the
-  pivoted block of pivoted_start, whose first product the degree pass
-  forms.
+  subspace iteration, then C = AQ, W = Q^T C and F = C W^-1/2.
+  gaussian_sketch_basis starts it from Gaussian noise;
+  ``runner.decompose`` starts it from the pivoted block of pivoted_start,
+  whose first product the degree pass forms.
 
-Eigenpairs are recovered through F = C W^-1/2 and its thin SVD: the squared
-singular values of F approximate the eigenvalues of A and the left singular
-vectors approximate its eigenvectors.  ``runner.decompose`` runs either
-sketch, or the exact solve, from data to SpectralModel.
+Eigenpairs are recovered from the thin SVD of F: the squared singular
+values approximate the eigenvalues of A and the left singular vectors
+approximate its eigenvectors.  ``runner.decompose`` runs either sketch, or
+the exact solve, from data to SpectralModel.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,34 +39,6 @@ from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
 # rounds) left the top-25 eigenvalues about 1.5x less accurate than blocks
 # of 10.
 PIVOT_ROUNDS = 12
-
-
-@dataclass(frozen=True)
-class NystromFactors:
-    """Factors C (n-by-l) and W (l-by-l symmetric) of A ~= C W^-1 C^T.
-
-    ``method`` is the spectral.METHODS tag of the sketch that built them,
-    ``nystrom_columns`` or ``nystrom_projection``.
-    """
-
-    C: np.ndarray
-    W: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
-        W = np.asarray(self.W, dtype=float)
-        if C.ndim != 2:
-            raise DimensionError(f"C must be a matrix, got shape {C.shape}")
-        l = C.shape[1]
-        if W.shape != (l, l):
-            raise DimensionError(f"W must be {l}x{l} to match C, got {W.shape}")
-        if W.size and float(np.abs(W - W.T).max()) > SYMMETRY_TOL:
-            raise ContractError(f"W is not symmetric within {SYMMETRY_TOL}")
-        if self.method not in ("nystrom_columns", "nystrom_projection"):
-            raise ParameterError(f"unknown sketch method {self.method!r}")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "W", W)
 
 
 def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
@@ -133,19 +105,20 @@ def _reached(deg):
 
 
 def sample_columns(kernel_columns, n, l, seed, tol):
-    """Column-sampling factors by block randomly pivoted Cholesky.
+    """Column-sampling factor of A by block randomly pivoted Cholesky.
 
-    K ~= F F^T from at most l pivot columns fetched through
+    K ~= F_K F_K^T from at most l pivot columns fetched through
     ``kernel_columns(S)`` (see _pivoted_cholesky).  Pivoting that stops
     before l columns, once the residual trace is at most tol * n, emits a
     RankDeficiencyWarning.  The degrees come from the factor,
-    deg = F (F^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004), so no
-    step touches all n^2 kernel entries.  The factors are C = D^-1/2 F and
-    W = I.
+    deg = F_K (F_K^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004),
+    so no step touches all n^2 kernel entries.  F = D^-1/2 F_K, with
+    A ~= F F^T.
 
     Returns
     -------
-    (NystromFactors, DegreeVector, J) with J the pivots in the order chosen.
+    (F, DegreeVector, J): the n-by-l factor, its degrees and J the pivots
+    in the order chosen.
 
     Raises
     ------
@@ -169,7 +142,7 @@ def sample_columns(kernel_columns, n, l, seed, tol):
             "(no positive factor degree); widen sigma or enlarge the sketch"
         )
     F /= np.sqrt(deg)[:, None]
-    return NystromFactors(F, np.eye(l), "nystrom_columns"), DegreeVector(deg), J
+    return F, DegreeVector(deg), J
 
 
 def pivoted_start(kernel_columns, n, l, seed, tol):
@@ -271,11 +244,12 @@ def subspace_iteration(A, Y, steps):
     return Q
 
 
-def project(A, Q):
-    """Projection factors C = AQ and W = Q^T C for an orthonormal basis Q.
+def project(A, Q, tol=1e-12):
+    """Projection factor F = C W^-1/2 of A, with C = AQ and W = Q^T C.
 
-    W is symmetrized as (W + W^T)/2 before use; for symmetric A the
-    asymmetry is pure rounding noise.
+    Q must be an orthonormal basis.  W is symmetrized as (W + W^T)/2 before
+    its inverse root (psd_inverse_sqrt with ``tol``); for symmetric A the
+    asymmetry is pure rounding noise.  A ~= F F^T = C W^+ C^T.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
@@ -284,15 +258,15 @@ def project(A, Q):
     if getattr(A, "shape", None) != (n, n):
         raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
     gram = Q.T @ Q
-    drift = float(np.abs(gram - np.eye(Q.shape[1])).max())
+    gram.flat[::Q.shape[1] + 1] -= 1.0
+    drift = float(np.abs(gram).max())
     if drift > 1e-8:
         raise ContractError(
             f"Q is not orthonormal: max |Q^T Q - I| = {drift:.3e} > 1e-8"
         )
     C = A @ Q
     W = Q.T @ C
-    W = 0.5 * (W + W.T)
-    return NystromFactors(C, W, "nystrom_projection")
+    return C @ psd_inverse_sqrt(0.5 * (W + W.T), tol)
 
 
 def psd_inverse_sqrt(W, tol):
@@ -323,35 +297,29 @@ def psd_inverse_sqrt(W, tol):
     return 0.5 * (M + M.T)
 
 
-def nystrom_eigs(factors, d, deg, tol=1e-12):
-    """Approximate top-d eigenpairs of A from Nystrom factors.
+def nystrom_eigs(F, d, deg, tol=1e-12, method="nystrom_projection"):
+    """Approximate top-d eigenpairs of A ~= F F^T from the thin SVD of F.
 
-    Forms F = C W^-1/2 (C itself when W = I) and takes its thin SVD;
-    eigenvalues are the squared singular values (guaranteeing the diffusion
+    Eigenvalues are the squared singular values (guaranteeing the diffusion
     spectrum stays nonnegative) and the left singular vectors, eigenvectors
-    of A, give the Markov eigenvectors.  If the numerical rank of F (same
-    relative cutoff as the pseudo-inverse) is below d, the result is
-    truncated and a RankDeficiencyWarning records the effective rank.
-
-    Returns
-    -------
-    SpectralModel with the factors' method.
+    of A, give the Markov eigenvectors.  If the numerical rank of F
+    (singular values above sqrt(tol) times the largest) is below d, the
+    result is truncated and a RankDeficiencyWarning records the effective
+    rank.  Returns a SpectralModel tagged ``method``, the sketch that built
+    F: ``nystrom_projection`` or ``nystrom_columns``.
     """
-    l = factors.C.shape[1]
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2:
+        raise DimensionError(f"F must be a matrix, got shape {F.shape}")
+    n, l = F.shape
     if not 1 <= d <= l:
         raise ParameterError(f"need 1 <= d <= sketch size {l}, got d={d}")
-    if factors.C.shape[0] != deg.n:
-        raise DimensionError(
-            f"factors are for n={factors.C.shape[0]} but degrees have length {deg.n}"
-        )
+    if n != deg.n:
+        raise DimensionError(f"F is for n={n} but degrees have length {deg.n}")
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
-    if np.array_equal(factors.W, np.eye(l)):
-        # Column factors carry W = I, whose inverse root is I again: skip an
-        # n-by-l-by-l product that returns C bitwise unchanged.
-        F = factors.C
-    else:
-        F = factors.C @ psd_inverse_sqrt(factors.W, tol)
+    if method not in ("nystrom_columns", "nystrom_projection"):
+        raise ParameterError(f"unknown sketch method {method!r}")
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
     if not svals[0] > 0.0:
         raise DegeneracyError("approximate factor F is identically zero")
@@ -365,4 +333,4 @@ def nystrom_eigs(factors, d, deg, tol=1e-12):
             stacklevel=2,
         )
     markov = recover_markov_eigvecs(U[:, :keep], deg)
-    return SpectralModel(svals[:keep] ** 2, markov, deg, factors.method)
+    return SpectralModel(svals[:keep] ** 2, markov, deg, method)

@@ -145,6 +145,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"pinv_tolerance must lie in (0, 1), got {self.pinv_tolerance}"
             )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def to_dict(self):
@@ -269,8 +271,8 @@ def decompose(
     multiplies, the first product counted, and C = AQ makes one more.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
     the degrees from its factor (see sample_columns).  d, oversampling,
-    power_iterations and the sketch size are checked before any kernel entry
-    is evaluated.
+    power_iterations, seed and the sketch size are checked before any
+    kernel entry is evaluated.
 
     A materialized symmetric operator ``A`` and its degrees ``deg`` replace
     the kernel and degree passes (compare_methods shares one between the
@@ -286,6 +288,8 @@ def decompose(
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
     if power_iterations < 0:
         raise ParameterError(f"power_iterations must be >= 0, got {power_iterations}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if A is not None and deg is None:
         raise ParameterError("a materialized operator A needs its degrees deg")
     if deg is not None and A is None:
@@ -321,9 +325,9 @@ def decompose(
             vals, vecs = eigendecompose(A, d, check_symmetry=False)
             return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
         if method == "nystrom_columns":
-            factors, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
-            return nystrom_eigs(factors, d, col_deg, pinv_tolerance)
-        return nystrom_eigs(project(A, Q), d, deg, pinv_tolerance)
+            F, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
+            return nystrom_eigs(F, d, col_deg, pinv_tolerance, method)
+        return nystrom_eigs(project(A, Q, pinv_tolerance), d, deg, pinv_tolerance)
 
     return run("decomposition", solve)[0]
 

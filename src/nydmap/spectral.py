@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .kernel import DegreeVector, _check_sigma, gaussian_kernel_block, row_blocks
+from .kernel import DegreeVector, _check_sigma, _checked_square, gaussian_kernel_block, row_blocks
 
 METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
@@ -135,12 +135,14 @@ def symmetric_matrix(K, deg, overwrite=False):
     The denominator is formed as the product sqrt(deg[i]) * sqrt(deg[j]),
     which is commutative, so A is exactly as symmetric as K.  With
     ``overwrite=True`` K is normalized in place and returned as A, which
-    halves peak memory for large n.  The temporary denominators are formed
-    one row block at a time.
+    halves peak memory for large n; otherwise A is a new float64 array,
+    checked against available memory first (CapacityError, as for the
+    kernel matrix).  The temporary denominators are formed one row block
+    at a time.
     """
     _check_kernel(K, deg)
     root = np.sqrt(deg.values)
-    out = K if overwrite else np.empty_like(K)
+    out = K if overwrite else _checked_square(deg.n, "operator copy")
     for i0, i1 in row_blocks(deg.n, deg.n):
         np.divide(K[i0:i1], root[i0:i1, None] * root[None, :], out=out[i0:i1])
     return out

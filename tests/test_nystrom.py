@@ -32,7 +32,7 @@ from nydmap import (
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
-from nydmap.nystrom import NystromFactors, subspace_iteration
+from nydmap.nystrom import subspace_iteration
 from nydmap.spectral import SpectralModel
 
 
@@ -48,18 +48,6 @@ def _low_rank_psd(n, r, seed):
     return G @ G.T
 
 
-def test_factors_validation():
-    C = np.zeros((10, 3))
-    with pytest.raises(DimensionError):
-        NystromFactors(C, np.zeros((4, 4)), "nystrom_columns")
-    W = np.eye(3)
-    W[0, 1] = 1e-6
-    with pytest.raises(ContractError):
-        NystromFactors(C, W, "nystrom_columns")
-    with pytest.raises(ParameterError):
-        NystromFactors(C, np.eye(3), "bogus")
-
-
 def _pivoted(X, sigma, l, seed, tol=1e-12):
     provider = lambda J: gaussian_kernel_columns(X, sigma, J)
     return sample_columns(provider, X.n, l, seed, tol)
@@ -68,13 +56,11 @@ def _pivoted(X, sigma, l, seed, tol=1e-12):
 def test_sample_columns_matches_materialized_operator():
     X, _, _ = _diffusion_A(300, 0)
     K = gaussian_kernel_matrix(X, 0.8)
-    factors, deg, J = _pivoted(X, 0.8, 50, seed=1)
+    C, deg, J = _pivoted(X, 0.8, 50, seed=1)
     assert J.shape == (50,)
     assert np.unique(J).size == 50 and J.min() >= 0 and J.max() < 300
-    assert factors.method == "nystrom_columns"
-    assert np.array_equal(factors.W, np.eye(50))
     # C = D^-1/2 F with the factor's own degrees deg = F (F^T 1).
-    F = factors.C * np.sqrt(deg.values)[:, None]
+    F = C * np.sqrt(deg.values)[:, None]
     assert np.allclose(deg.values, F @ F.sum(axis=0), rtol=1e-12, atol=0.0)
     # The Nystrom approximation interpolates the pivot columns.
     assert np.abs(F @ F[J].T - K[:, J]).max() <= 1e-12
@@ -85,7 +71,7 @@ def test_sample_columns_deterministic_and_validated():
     provider = lambda J: gaussian_kernel_columns(X, 0.8, J)
     f1, _, J1 = sample_columns(provider, 100, 20, 9, 1e-12)
     f2, _, J2 = sample_columns(provider, 100, 20, 9, 1e-12)
-    assert np.array_equal(J1, J2) and np.array_equal(f1.C, f2.C)
+    assert np.array_equal(J1, J2) and np.array_equal(f1, f2)
     with pytest.raises(ParameterError):
         sample_columns(provider, 100, 101, 0, 1e-12)
     with pytest.raises(ParameterError):
@@ -98,10 +84,8 @@ def test_sample_columns_deterministic_and_validated():
 
 def test_sample_columns_complete_reconstruction():
     X, A, _ = _diffusion_A(150, 3, sigma=1.0)
-    factors, _, J = _pivoted(X, 1.0, 150, seed=4)
+    F, _, J = _pivoted(X, 1.0, 150, seed=4)
     assert np.unique(J).size == J.size
-    M = psd_inverse_sqrt(factors.W, 1e-12)
-    F = factors.C @ M
     recon = F @ F.T
     err = np.linalg.norm(recon - A) / np.linalg.norm(A)
     assert err <= 1e-9
@@ -114,8 +98,8 @@ def _ends_quickly():
     assert time.perf_counter() - start < 1.0
 
 
-def _checked_model(factors, deg, d):
-    model = nystrom_eigs(factors, d, deg)
+def _checked_model(F, deg, d):
+    model = nystrom_eigs(F, d, deg, method="nystrom_columns")
     assert deg.values.min() > 0.0
     assert np.all(np.isfinite(model.eigenvectors_markov))
     assert model.eigenvalues.max() <= 1.0 + 1e-10
@@ -126,28 +110,28 @@ def test_sample_columns_duplicated_points():
     base = np.random.default_rng(20).normal(size=(50, 3))
     X = DataMatrix(np.repeat(base, 20, axis=0))
     with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
-        factors, deg, J = _pivoted(X, 0.5, 60, seed=0)
+        F, deg, J = _pivoted(X, 0.5, 60, seed=0)
     # One pivot per distinct point: every copy of a chosen point is dropped.
     assert np.unique(X.values[J], axis=0).shape[0] == J.size <= 50
-    _checked_model(factors, deg, 40)
+    _checked_model(F, deg, 40)
 
 
 def test_sample_columns_l_equal_to_n():
     X = generate_helix(400, noise_std=0.05, seed=0)
     with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
-        factors, deg, J = _pivoted(X, 0.5, 400, seed=0)
+        F, deg, J = _pivoted(X, 0.5, 400, seed=0)
     assert J.size < 400
-    assert np.all(factors.C[:, J.size:] == 0.0)
-    _checked_model(factors, deg, 20)
+    assert np.all(F[:, J.size:] == 0.0)
+    _checked_model(F, deg, 20)
 
 
 def test_sample_columns_l_above_numerical_rank():
     X = DataMatrix(np.linspace(0.0, 1.0, 300)[:, None])
     with _ends_quickly(), pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
-        factors, deg, J = _pivoted(X, 10.0, 60, seed=0)
+        F, deg, J = _pivoted(X, 10.0, 60, seed=0)
     assert J.size < 20
     with pytest.warns(RankDeficiencyWarning, match="effective rank"):
-        model = _checked_model(factors, deg, 50)
+        model = _checked_model(F, deg, 50)
     assert model.rank_d <= J.size
 
 
@@ -259,18 +243,14 @@ def test_sketch_basis_validation():
 def test_project_coordinate_basis():
     _, A, _ = _diffusion_A(60, 6)
     Q = np.eye(60)[:, :12]
-    factors = project(A, Q)
-    assert np.array_equal(factors.C, A[:, :12])
-    assert np.array_equal(factors.W, A[:12, :12])
-    assert factors.method == "nystrom_projection"
+    F = project(A, Q)
+    assert np.array_equal(F, A[:, :12] @ psd_inverse_sqrt(A[:12, :12], 1e-12))
 
 
 def test_project_zero_operator():
     Q = np.linalg.qr(np.random.default_rng(0).normal(size=(30, 5)))[0]
-    factors = project(np.zeros((30, 30)), Q)
-    assert np.all(factors.C == 0.0) and np.all(factors.W == 0.0)
     with pytest.raises(DegeneracyError):
-        nystrom_eigs(factors, 3, DegreeVector(np.ones(30)))
+        project(np.zeros((30, 30)), Q)
 
 
 def test_project_requires_orthonormal_basis():
@@ -293,10 +273,11 @@ def test_project_agrees_with_direct_pseudo_inverse_route():
     # two routes to the same projected operator.
     _, A, deg = _diffusion_A(200, 8)
     Q = np.linalg.qr(np.random.default_rng(3).normal(size=(200, 30)))[0]
-    factors = project(A, Q)
-    M = psd_inverse_sqrt(factors.W, 1e-12)
-    F = factors.C @ M
-    direct = factors.C @ (M @ M) @ factors.C.T
+    F = project(A, Q)
+    C = A @ Q
+    W = Q.T @ C
+    M = psd_inverse_sqrt(0.5 * (W + W.T), 1e-12)
+    direct = C @ (M @ M) @ C.T
     assert np.abs(F @ F.T - direct).max() <= 1e-8
 
 
@@ -342,9 +323,9 @@ def test_nystrom_eigs_exact_on_low_rank():
         A = _low_rank_psd(n, r, seed)
         with pytest.warns(RankDeficiencyWarning):
             Q = gaussian_sketch_basis(A, n, r + 8, q=0, seed=seed)
-        factors = project(A, Q)
+        F = project(A, Q)
         with pytest.warns(RankDeficiencyWarning):
-            model = nystrom_eigs(factors, r + 8, DegreeVector(np.ones(n)))
+            model = nystrom_eigs(F, r + 8, DegreeVector(np.ones(n)))
         dense_vals, _ = eigendecompose(A, r)
         assert model.rank_d == r
         rel = np.abs(model.eigenvalues - dense_vals) / dense_vals
@@ -352,24 +333,21 @@ def test_nystrom_eigs_exact_on_low_rank():
 
 
 def test_nystrom_eigs_identity_w_uses_c_unchanged():
-    # Column factors carry W = I: skipping C @ psd_inverse_sqrt(I) must not
-    # change a bit of the result, and tol is still checked.
+    # The column factor goes to the SVD as it is, and tol is still checked.
     X, _, _ = _diffusion_A(300, 2)
-    factors, deg, _ = _pivoted(X, 0.8, 40, seed=3)
-    model = nystrom_eigs(factors, 30, deg)
-    F = factors.C @ psd_inverse_sqrt(factors.W, 1e-12)
-    assert np.array_equal(F, factors.C)
+    F, deg, _ = _pivoted(X, 0.8, 40, seed=3)
+    model = nystrom_eigs(F, 30, deg, method="nystrom_columns")
     _, svals, _ = np.linalg.svd(F, full_matrices=False)
     assert np.array_equal(model.eigenvalues, svals[:30] ** 2)
     for tol in (0.0, 1.0):
         with pytest.raises(ParameterError, match="tol must lie in"):
-            nystrom_eigs(factors, 30, deg, tol)
+            nystrom_eigs(F, 30, deg, tol, "nystrom_columns")
 
 
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
-    factors = NystromFactors(3.0 * np.eye(n), 3.0 * np.eye(n), "nystrom_columns")
-    model = nystrom_eigs(factors, n, DegreeVector(np.ones(n)))
+    F = 3.0 * np.eye(n) @ psd_inverse_sqrt(3.0 * np.eye(n), 1e-12)
+    model = nystrom_eigs(F, n, DegreeVector(np.ones(n)), method="nystrom_columns")
     assert model.method == "nystrom_columns"
     assert np.allclose(model.eigenvalues, 3.0, rtol=0.0, atol=1e-12)
 
@@ -378,20 +356,31 @@ def test_nystrom_eigs_truncates_with_warning():
     A = _low_rank_psd(150, 3, 0)
     with pytest.warns(RankDeficiencyWarning):
         Q = gaussian_sketch_basis(A, 150, 10, q=0, seed=0)
-    factors = project(A, Q)
+    F = project(A, Q)
     with pytest.warns(RankDeficiencyWarning, match="effective rank"):
-        model = nystrom_eigs(factors, 8, DegreeVector(np.ones(150)))
+        model = nystrom_eigs(F, 8, DegreeVector(np.ones(150)))
     assert model.rank_d == 3
     assert model.eigenvalues.shape == (3,)
 
 
 def test_nystrom_eigs_validation():
-    factors = NystromFactors(np.eye(10), np.eye(10), "nystrom_columns")
+    F = np.eye(10)
     deg = DegreeVector(np.ones(10))
     with pytest.raises(ParameterError):
-        nystrom_eigs(factors, 11, deg)
+        nystrom_eigs(F, 11, deg)
     with pytest.raises(DimensionError):
-        nystrom_eigs(factors, 2, DegreeVector(np.ones(9)))
+        nystrom_eigs(F, 2, DegreeVector(np.ones(9)))
+    with pytest.raises(DimensionError):
+        nystrom_eigs(np.ones(10), 1, deg)
+    with pytest.raises(ParameterError, match="unknown sketch method"):
+        nystrom_eigs(F, 2, deg, method="bogus")
+    # W's shape and symmetry are psd_inverse_sqrt's checks.
+    W = np.eye(3)
+    W[0, 1] = 1e-6
+    with pytest.raises(ContractError):
+        psd_inverse_sqrt(W, 1e-12)
+    with pytest.raises(DimensionError):
+        psd_inverse_sqrt(np.zeros((4, 3)), 1e-12)
 
 
 def test_nystrom_diffusion_eigenvalue_bounds():
@@ -458,9 +447,7 @@ def test_more_power_iterations_do_not_hurt_on_average():
         errs = []
         for seed in range(20):
             Q = gaussian_sketch_basis(A, 400, 12, q=q, seed=seed)
-            factors = project(A, Q)
-            M = psd_inverse_sqrt(factors.W, 1e-12)
-            F = factors.C @ M
+            F = project(A, Q)
             errs.append(np.linalg.norm(A - F @ F.T) / np.linalg.norm(A))
         means.append(np.mean(errs))
     assert means[0] >= means[1] >= means[2]
@@ -487,26 +474,23 @@ def test_decompose_deterministic_matches_deterministic_model():
     assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
 
 
-def _nystrom_eigs_signs_first(factors, d, deg, tol=1e-12):
+def _nystrom_eigs_signs_first(F, d, deg, tol=1e-12, method="nystrom_projection"):
     # nystrom_eigs's former route, kept as the reference: it sign-fixed
     # A's eigenvectors before recovering the Markov ones.
-    l = factors.C.shape[1]
-    F = factors.C
-    if not np.array_equal(factors.W, np.eye(l)):
-        F = F @ psd_inverse_sqrt(factors.W, tol)
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
     keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(tol))))
     markov = recover_markov_eigvecs(fix_signs(U[:, :keep]), deg)
-    return SpectralModel(svals[:keep] ** 2, markov, deg, factors.method)
+    return SpectralModel(svals[:keep] ** 2, markov, deg, method)
 
 
 def test_markov_vectors_match_sign_fixed_route(monkeypatch):
     X, A, deg = _diffusion_A(300, 12, sigma=0.5)
     Q = gaussian_sketch_basis(A, 300, 25, q=1, seed=1)
-    col_factors, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
-    for factors, dv in ((project(A, Q), deg), (col_factors, col_deg)):
-        model = nystrom_eigs(factors, 15, dv)
-        expected = _nystrom_eigs_signs_first(factors, 15, dv)
+    col_F, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
+    sketches = ((project(A, Q), deg, "nystrom_projection"), (col_F, col_deg, "nystrom_columns"))
+    for F, dv, method in sketches:
+        model = nystrom_eigs(F, 15, dv, method=method)
+        expected = _nystrom_eigs_signs_first(F, 15, dv, method=method)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
     calls = [

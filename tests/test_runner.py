@@ -32,7 +32,7 @@ from nydmap import (
     save_csv,
     symmetric_matrix,
 )
-from nydmap import kernel
+from nydmap import kernel, nystrom
 from nydmap.kernel import DegreeVector
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
@@ -263,6 +263,31 @@ def test_decompose_rejects_negative_power_iterations(kernel_entries):
     assert kernel_entries == []
 
 
+def test_decompose_rejects_negative_seed(kernel_entries):
+    X = generate_helix(300, noise_std=0.05, seed=0)
+    for method in METHODS:
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            decompose(X, 0.5, method, 10, seed=-1)
+    assert kernel_entries == []
+
+
+def test_decompose_passes_pinv_tolerance_to_projection_inverse_root(monkeypatch):
+    X = generate_helix(300, noise_std=0.05, seed=0)
+    A = symmetric_matrix(gaussian_kernel_matrix(X, 0.5), degree_vector(X, 0.5))
+    tols = []
+    inverse_sqrt = nystrom.psd_inverse_sqrt
+
+    def spy(W, tol):
+        tols.append(tol)
+        return inverse_sqrt(W, tol)
+
+    monkeypatch.setattr(nystrom, "psd_inverse_sqrt", spy)
+    for operator in ({}, {"A": A, "deg": degree_vector(X, 0.5)}):
+        tols.clear()
+        decompose(X, 0.5, "nystrom_projection", 10, pinv_tolerance=1e-9, **operator)
+        assert tols == [1e-9]
+
+
 def test_decompose_rejects_operator_of_another_size(kernel_entries):
     X = generate_helix(300, noise_std=0.05, seed=0)
     small, small_deg = np.eye(200), DegreeVector(np.ones(200))
@@ -435,6 +460,17 @@ def test_tracer_sites_resolve():
     assert tracer.SITES
     for path, attr in tracer.SITES:
         assert callable(getattr(tracer._owner(path), attr, None)), f"{path}.{attr}"
+
+
+def test_exports_resolve_sorted_and_unique():
+    import nydmap
+
+    names = nydmap.__all__
+    for name in names:
+        assert hasattr(nydmap, name), name
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert "NystromFactors" not in names
 
 
 def test_modules_load_every_name_they_import():
@@ -867,6 +903,15 @@ def test_main_exit_code_2_on_bad_config(tmp_path, capsys, kernel_entries):
     code = main(argv + ["--out", str(tmp_path / "x")])
     assert code == 2
     assert "need 1 <= d <= n=300" in capsys.readouterr().err
+    assert kernel_entries == []
+
+
+def test_main_exit_code_2_on_negative_seed(tmp_path, capsys, kernel_entries):
+    out = tmp_path / "x"
+    code = main(["run", "--seed", "-1", "--n", "300", "--rank", "5", "--out", str(out)])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
     assert kernel_entries == []
 
 

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.linalg.blas
 
 from nydmap import (
+    CapacityError,
     ContractError,
     DataMatrix,
     DimensionError,
@@ -22,6 +23,7 @@ from nydmap import (
     recover_markov_eigvecs,
     symmetric_matrix,
 )
+from nydmap import kernel
 from nydmap.kernel import DegreeVector
 from nydmap.spectral import DiffusionOperator, SpectralModel, max_asymmetry
 
@@ -105,6 +107,17 @@ def test_symmetric_exactly_symmetric_and_overwrite(block_rows):
     assert np.array_equal(A, A2)
     block_rows(32, 150)
     assert max_asymmetry(A) == 0.0
+
+
+def test_symmetric_copy_checks_available_memory_first(monkeypatch):
+    # The copy is an n-by-n buffer like the kernel matrix, so it is checked
+    # against MemAvailable the same way; the in-place path allocates none.
+    _, K, deg = _diffusion_parts(60, 3, 4)
+    needed = 8 * 60 * 60
+    monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: needed - 1)
+    with pytest.raises(CapacityError, match=f"needs {needed} bytes, but only"):
+        symmetric_matrix(K, deg)
+    assert symmetric_matrix(K, deg, overwrite=True) is K
 
 
 def test_eigendecompose_identity_and_diagonal():
