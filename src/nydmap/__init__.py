@@ -4,7 +4,7 @@ The pipeline: build a Gaussian kernel on the data, normalize it into the
 symmetric diffusion operator, take its top eigenpairs either exactly or
 through a Nystrom sketch (kernel columns picked by randomly pivoted
 Cholesky, with degrees taken from the factor, or a projection started
-from such pivoted columns and sharpened by subspace iterations), and
+from Gaussian noise and sharpened by subspace iterations), and
 embed the points by Markov eigenvector columns weighted with
 sqrt(lambda^t).
 

@@ -136,11 +136,12 @@ def _available_memory_bytes():
     return None
 
 
-def _checked_square(n, what):
-    """An uninitialized n-by-n float64 array, or a CapacityError naming ``what``.
+def _check_square_fits(n, what):
+    """The 8 n^2 bytes of an n-by-n float64 array, or a CapacityError naming ``what``.
 
     Under overcommit an allocation beyond MemAvailable can succeed and the
-    process be killed while it is filled, so the request is checked first.
+    process be killed while it is filled, so every n-by-n request is
+    checked against MemAvailable first.
     """
     needed = 8 * n * n
     available = _available_memory_bytes()
@@ -149,6 +150,12 @@ def _checked_square(n, what):
             f"{what} for n={n} needs {needed} bytes, "
             f"but only {available} bytes are available"
         )
+    return needed
+
+
+def _checked_square(n, what):
+    """An uninitialized n-by-n float64 array, or a CapacityError naming ``what``."""
+    needed = _check_square_fits(n, what)
     try:
         return np.empty((n, n))
     except MemoryError as exc:

@@ -10,8 +10,8 @@ A ~= F F^T:
 * random projection: an orthonormal sketch basis Q is computed by
   subspace iteration, then C = AQ, W = Q^T C and F = C W^-1/2.
   gaussian_sketch_basis starts it from Gaussian noise;
-  ``runner.decompose`` starts it from the pivoted block of pivoted_start,
-  whose first product the degree pass forms.
+  ``runner.decompose`` starts it from Gaussian noise with a ones first
+  column, and its degree pass forms the first product.
 
 Eigenpairs are recovered from the thin SVD of F: the squared singular
 values approximate the eigenvalues of A and the left singular vectors
@@ -99,11 +99,6 @@ def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
     return F, F @ F.sum(axis=0), np.array(J), residual
 
 
-def _reached(deg):
-    """Which factor degrees are positive normal floats."""
-    return deg > np.finfo(float).tiny
-
-
 def sample_columns(kernel_columns, n, l, seed, tol):
     """Column-sampling factor of A by block randomly pivoted Cholesky.
 
@@ -135,7 +130,7 @@ def sample_columns(kernel_columns, n, l, seed, tol):
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    unconnected = int(np.count_nonzero(~_reached(deg)))
+    unconnected = int(np.count_nonzero(~(deg > np.finfo(float).tiny)))
     if unconnected:
         raise DegeneracyError(
             f"the column sketch leaves {unconnected} of {n} points unconnected "
@@ -143,23 +138,6 @@ def sample_columns(kernel_columns, n, l, seed, tol):
         )
     F /= np.sqrt(deg)[:, None]
     return F, DegreeVector(deg), J
-
-
-def pivoted_start(kernel_columns, n, l, seed, tol):
-    """Start block Z of the projection sketch, from l pivoted kernel columns.
-
-    Draws K ~= F F^T as sample_columns does (the same pivots for the same
-    l and seed) and divides each row by its factor degree,
-    Z = F / (F (F^T 1)); the rows of points the sketch does not reach (a
-    factor degree that is not a positive normal float) stay zero.  With
-    the exact degrees D, D^1/2 Z approximates D^-1/2 F, the factor of A's
-    Nystrom approximation, and Z (F^T 1) = 1 on every other row, so when
-    every point is reached D^1/2 Z spans D^1/2 1, A's top eigenvector.
-    Neither an early stop nor an unreached point raises: the QR of the
-    sketch reports a collapsed rank instead.
-    """
-    F, deg, _, _ = _pivoted_cholesky(kernel_columns, n, l, seed, tol)
-    return np.divide(F, deg[:, None], out=np.zeros_like(F), where=_reached(deg)[:, None])
 
 
 def _pivot_block_cholesky(H, tol):
@@ -220,11 +198,11 @@ def subspace_iteration(A, Y, steps):
     count of singular values above n * eps relative to the largest, taken
     from R with its columns scaled to unit norm (a zero column keeps norm
     1): scaling columns does not change their span, so a start block whose
-    columns differ in size by many decades, such as pivoted_start's, is
-    not mistaken for a rank-deficient one.  If the smallest rank across
-    the QRs falls short of the column count, one RankDeficiencyWarning
-    names it; a later product's rank can also count noise-level directions
-    that A draws from the columns Householder QR completes.
+    columns differ in size by many decades is not mistaken for a
+    rank-deficient one.  If the smallest rank across the QRs falls short
+    of the column count, one RankDeficiencyWarning names it; a later
+    product's rank can also count noise-level directions that A draws
+    from the columns Householder QR completes.
     """
     n, l = Y.shape
     rank = l

@@ -59,7 +59,6 @@ from .kernel import (
 from .nystrom import (
     gaussian_sketch_basis,  # not called here: perfbench's tracer wraps this site
     nystrom_eigs,
-    pivoted_start,
     project,
     sample_columns,
     subspace_iteration,
@@ -263,10 +262,11 @@ def decompose(
 
     The keywords are ExperimentConfig's field names.  ``deterministic``
     materializes the kernel, takes its row sums as the degrees and solves
-    exactly.  ``nystrom_projection`` draws l = d + oversampling pivoted
-    kernel columns into a start block Z (nystrom.pivoted_start); one
-    streamed kernel pass gives the exact degrees and K Z, hence the first
-    product A D^1/2 Z = D^-1/2 K Z; subspace iteration continues on a
+    exactly.  ``nystrom_projection`` starts from an n-by-l Gaussian block
+    Z, l = d + oversampling, drawn from ``seed``, whose first column is
+    ones: A's top eigenvector is D^1/2 1, so the sketch holds it exactly.
+    One streamed kernel pass gives the exact degrees and K Z, hence the
+    first product A D^1/2 Z = D^-1/2 K Z; subspace iteration continues on a
     matrix-free DiffusionOperator to ``power_iterations`` passes of two
     multiplies, the first product counted, and C = AQ makes one more.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
@@ -301,11 +301,16 @@ def decompose(
     if method != "deterministic":
         l = _sketch_size(X.n, d, oversampling)
     run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
-    columns = functools.partial(gaussian_kernel_columns, X, sigma)
     if method == "deterministic" and A is None:
         A, deg = _dense_operator(X, sigma, run)
     elif method == "nystrom_projection":
-        Z, _ = run("decomposition", lambda: pivoted_start(columns, X.n, l, seed, pinv_tolerance))
+
+        def start():
+            Z = np.random.default_rng(seed).standard_normal((X.n, l))
+            Z[:, 0] = 1.0
+            return Z
+
+        Z, _ = run("decomposition", start)
         if A is None:
             # One kernel pass: the exact degrees and K Z, so that
             # Y = D^-1/2 K Z, a matrix-free operator's first product.
@@ -325,6 +330,7 @@ def decompose(
             vals, vecs = eigendecompose(A, d, check_symmetry=False)
             return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
         if method == "nystrom_columns":
+            columns = functools.partial(gaussian_kernel_columns, X, sigma)
             F, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
             return nystrom_eigs(F, d, col_deg, pinv_tolerance, method)
         return nystrom_eigs(project(A, Q, pinv_tolerance), d, deg, pinv_tolerance)

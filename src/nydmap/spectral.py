@@ -37,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .kernel import DegreeVector, _check_sigma, _checked_square, gaussian_kernel_block, row_blocks
+from .kernel import (
+    DegreeVector,
+    _check_sigma,
+    _check_square_fits,
+    _checked_square,
+    gaussian_kernel_block,
+    row_blocks,
+)
 
 METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
@@ -198,6 +205,12 @@ def eigendecompose(A, d, check_symmetry=True):
     Returns
     -------
     (eigenvalues, eigenvectors) : (d,) descending and (n, d) orthonormal.
+
+    Raises
+    ------
+    CapacityError
+        If the dense solver is taken and its n-by-n copy of A exceeds the
+        memory the system reports available.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -244,6 +257,8 @@ def eigendecompose(A, d, check_symmetry=True):
                 stacklevel=2,
             )
     if vals is None:
+        # scipy's eigh works on an n-by-n copy of A.
+        _check_square_fits(n, "dense eigensolver copy")
         vals, vecs = scipy.linalg.eigh(
             A, subset_by_index=[n - d, n - 1], check_finite=False
         )

@@ -10,6 +10,7 @@ from nydmap import (
     DataMatrix,
     DegeneracyError,
     DimensionError,
+    LorenzParams,
     ParameterError,
     RankDeficiencyWarning,
     decompose,
@@ -22,6 +23,7 @@ from nydmap import (
     gaussian_kernel_matrix,
     gaussian_sketch_basis,
     generate_helix,
+    integrate_lorenz,
     nystrom_eigs,
     project,
     psd_inverse_sqrt,
@@ -29,6 +31,7 @@ from nydmap import (
     relative_embedding_error,
     runner,
     sample_columns,
+    subsample_rows,
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
@@ -167,8 +170,9 @@ def test_degenerate_inputs_exact_and_projection(method, n, copies, sigma, d):
 
 @pytest.mark.parametrize("copies", [2, 1], ids=["repeated", "distinct"])
 def test_projection_top_eigenpair_is_exact(copies):
-    # A's top eigenpair is 1 and D^1/2 1; the pivoted start spans it
-    # exactly.  A Gaussian start read 0.99980 on both inputs.
+    # A's top eigenpair is 1 and D^1/2 1; the ones column of the start
+    # block spans it exactly.  A Gaussian start without it read 0.99980 on
+    # both inputs.
     points = np.random.default_rng(21).normal(size=(600 // copies, 3))
     X = DataMatrix(np.tile(points, (copies, 1)))
     model = decompose(X, 0.5, "nystrom_projection", 20)
@@ -202,10 +206,9 @@ def test_sketch_basis_of_zero_operator_is_orthonormal():
 
 def test_start_columns_of_many_decades_are_full_rank():
     # A well-conditioned operator and a start block whose columns range
-    # over fifteen decades in norm, as the late columns of pivoted_start's
-    # block do: the product has full rank and must not be reported as
-    # collapsed.  Unscaled, R's smallest relative singular value is below
-    # the n * eps cutoff.
+    # over fifteen decades in norm: the product has full rank and must not
+    # be reported as collapsed.  Unscaled, R's smallest relative singular
+    # value is below the n * eps cutoff.
     n, l = 200, 12
     rng = np.random.default_rng(31)
     V, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -413,7 +416,8 @@ def helix_2000():
 
 
 def _projection(X, seed):
-    # The projection users run: pivoted start on the matrix-free operator.
+    # The projection users run: the Gaussian start with a ones column, on
+    # the matrix-free operator.
     return decompose(
         X, 0.5, "nystrom_projection", 50, oversampling=10, power_iterations=2, seed=seed
     )
@@ -433,6 +437,17 @@ def test_projection_path_embedding_error(helix_2000):
     X, exact = helix_2000
     err = relative_embedding_error(diffusion_map(exact, 1.0), diffusion_map(_projection(X, 0), 1.0))
     assert err <= 1e-3
+
+
+def test_projection_path_embedding_error_lorenz():
+    # Criterion 4's data and bound through decompose, at seeds 0-4.
+    X = subsample_rows(integrate_lorenz(LorenzParams()), 3000)
+    exact = diffusion_map(decompose(X, 10.0, "deterministic", 100), 1.0)
+    for seed in range(5):
+        model = decompose(
+            X, 10.0, "nystrom_projection", 100, oversampling=10, power_iterations=2, seed=seed
+        )
+        assert relative_embedding_error(exact, diffusion_map(model, 1.0)) <= 0.15
 
 
 def test_more_power_iterations_do_not_hurt_on_average():

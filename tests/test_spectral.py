@@ -194,6 +194,23 @@ def test_eigendecompose_iterative_path_copies_no_matrix():
     assert peak < n * n * 8 / 4
 
 
+def test_eigendecompose_dense_copy_checks_available_memory_first(monkeypatch):
+    # The dense solver (n = 120) works on an n-by-n copy of A, checked
+    # against MemAvailable like the kernel matrix; ARPACK (n = 400) copies
+    # no matrix and is not checked.
+    for n, d, dense in ((120, 10, True), (400, 8, False)):
+        _, K, deg = _diffusion_parts(n, 3, n)
+        A = symmetric_matrix(K, deg)
+        needed = 8 * n * n
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_available_memory_bytes", lambda: needed - 1)
+            if dense:
+                with pytest.raises(CapacityError, match=f"copy for n={n} needs {needed} bytes"):
+                    eigendecompose(A, d)
+                patch.setattr(kernel, "_available_memory_bytes", lambda: needed)
+            assert eigendecompose(A, d)[0].shape == (d,)
+
+
 @pytest.mark.parametrize(
     "points, sigma, d, products",
     [
