@@ -4,9 +4,11 @@ Both sketches reduce A ~= C W^+ C^T to one n-by-l factor F with
 A ~= F F^T:
 
 * pivoted column sampling: block randomly pivoted Cholesky picks the
-  kernel columns J and builds K ~= F_K F_K^T from them alone; the degrees
-  are taken from the factor, deg ~= F_K (F_K^T 1), and F = D^-1/2 F_K, so
-  no step touches all n^2 kernel entries;
+  kernel columns J and builds K ~= F_K F_K^T from them alone, each block
+  of pivots adding the Nystrom factor of its residual columns through an
+  eigendecomposition of its small pivot block; the degrees are taken from
+  the factor, deg ~= F_K (F_K^T 1), and F = D^-1/2 F_K, so no step
+  touches all n^2 kernel entries;
 * random projection: an orthonormal sketch basis Q is computed by
   subspace iteration, then C = AQ, W = Q^T C and F = C W^-1/2.
   gaussian_sketch_basis starts it from Gaussian noise;
@@ -41,27 +43,39 @@ from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
 PIVOT_ROUNDS = 12
 
 
-def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
-    """K ~= F F^T by block randomly pivoted Cholesky on at most l pivots.
+def sample_columns(kernel_columns, n, l, seed, tol):
+    """Column-sampling factor of A by block randomly pivoted Cholesky.
 
-    The kernel K must have a unit diagonal, as the Gaussian kernel has, so
-    the first round draws its pivots uniformly.  Each round draws up to
-    ceil(l / PIVOT_ROUNDS) pivots with probability proportional to the
-    residual diagonal diag(K - F F^T), fetches their kernel columns through the
-    ``kernel_columns(S)`` callback (S holds unique indices, ascending),
-    subtracts what the factor already explains and appends the block's
-    Cholesky columns to F (Chen, Epperly, Tropp and Webber,
-    arXiv:2207.06503).  A drawn pivot whose residual is at most ``tol`` adds
-    nothing the factor does not hold already, for instance a duplicate of a
-    chosen point; it is dropped and its residual set to 0.  Pivoting stops
-    after l columns, or earlier once the residual trace is at most tol * n;
-    the unused columns of F then stay zero.
+    K ~= F_K F_K^T from at most l kernel columns (Chen, Epperly, Tropp and
+    Webber, arXiv:2207.06503).  K must have a unit diagonal, as the
+    Gaussian kernel has, so the first round draws uniformly.  Each round
+    draws up to ceil(l / PIVOT_ROUNDS) pivots S with probability
+    proportional to the residual diagonal diag(K - F_K F_K^T), fetches
+    their columns through ``kernel_columns(S)`` (S unique, ascending),
+    subtracts what the factor already explains and appends the Nystrom
+    factor of the residual columns G: G V Lambda^-1/2, with (Lambda, V) the
+    eigenpairs of the pivot block G[S] whose eigenvalues exceed the
+    absolute ``tol``.  Directions the factor already holds drop out, such
+    as a copy of a point drawn in the same round as its twin.  Pivoting
+    stops once l columns are filled, or earlier, with a
+    RankDeficiencyWarning, once the residual trace is at most tol * n; the
+    unused columns of F stay zero.  The degrees come from the factor,
+    deg = F_K (F_K^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004),
+    so no step touches all n^2 kernel entries.  F = D^-1/2 F_K, with
+    A ~= F F^T.
 
-    Returns (F, deg, J, residual): the n-by-l factor, its degrees
-    F (F^T 1), the pivots in the order chosen and the residual diagonal
-    left.  A point whose kernel values to every pivot underflow gets a
-    zero (or subnormal, hence meaningless) factor degree: the sketch does
-    not reach it.
+    Returns
+    -------
+    (F, DegreeVector, J): the n-by-l factor, its degrees and J the pivots
+    of every round that added a column, in draw order; J may hold more
+    pivots than F has filled columns.
+
+    Raises
+    ------
+    DegeneracyError
+        If some factor degree is not a positive normal float: the sketch
+        leaves those points unconnected (the kernel is near the identity
+        for this sketch size).
     """
     if not 1 <= l <= n:
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
@@ -72,8 +86,8 @@ def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
     F = np.zeros((n, l))
     residual = np.ones(n)
     J = []
-    while len(J) < l:
-        r = len(J)
+    r = 0
+    while r < l:
         cumulative = np.cumsum(residual)
         if cumulative[-1] <= tol * n:
             break
@@ -86,50 +100,25 @@ def _pivoted_cholesky(kernel_columns, n, l, seed, tol):
                 f"kernel_columns returned shape {G.shape}, expected ({n}, {S.size})"
             )
         G -= F[:, :r] @ F[S, :r].T
-        keep, L = _pivot_block_cholesky(G[S], tol)
-        if keep.size:
-            # numpy has no triangular solve; LU of the small L keeps this
-            # loop in numpy's BLAS, off scipy's thread pool.
-            block = np.linalg.solve(L, G[:, keep].T).T
-            F[:, r:r + keep.size] = block
+        # eigh reads only the lower triangle of the pivot block.
+        vals, vecs = np.linalg.eigh(G[S])
+        keep = vals > tol
+        if keep.any():
+            block = G @ (vecs[:, keep] / np.sqrt(vals[keep]))
+            F[:, r:r + block.shape[1]] = block
+            r += block.shape[1]
             residual -= np.einsum("ij,ij->i", block, block)
             np.maximum(residual, 0.0, out=residual)
-            J.extend(S[keep].tolist())
+            J.extend(S.tolist())
         residual[S] = 0.0
-    return F, F @ F.sum(axis=0), np.array(J), residual
-
-
-def sample_columns(kernel_columns, n, l, seed, tol):
-    """Column-sampling factor of A by block randomly pivoted Cholesky.
-
-    K ~= F_K F_K^T from at most l pivot columns fetched through
-    ``kernel_columns(S)`` (see _pivoted_cholesky).  Pivoting that stops
-    before l columns, once the residual trace is at most tol * n, emits a
-    RankDeficiencyWarning.  The degrees come from the factor,
-    deg = F_K (F_K^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004),
-    so no step touches all n^2 kernel entries.  F = D^-1/2 F_K, with
-    A ~= F F^T.
-
-    Returns
-    -------
-    (F, DegreeVector, J): the n-by-l factor, its degrees and J the pivots
-    in the order chosen.
-
-    Raises
-    ------
-    DegeneracyError
-        If some factor degree is not a positive normal float: the sketch
-        leaves those points unconnected (the kernel is near the identity
-        for this sketch size).
-    """
-    F, deg, J, residual = _pivoted_cholesky(kernel_columns, n, l, seed, tol)
-    if J.size < l:
+    if r < l:
         warnings.warn(
-            f"column pivoting stopped at {J.size} of {l} columns: the residual "
+            f"column pivoting stopped at {r} of {l} columns: the residual "
             f"trace {residual.sum():.3e} is at most tol * n",
             RankDeficiencyWarning,
             stacklevel=2,
         )
+    deg = F @ F.sum(axis=0)
     unconnected = int(np.count_nonzero(~(deg > np.finfo(float).tiny)))
     if unconnected:
         raise DegeneracyError(
@@ -137,30 +126,7 @@ def sample_columns(kernel_columns, n, l, seed, tol):
             "(no positive factor degree); widen sigma or enlarge the sketch"
         )
     F /= np.sqrt(deg)[:, None]
-    return F, DegreeVector(deg), J
-
-
-def _pivot_block_cholesky(H, tol):
-    """The pivots a block keeps and the Cholesky factor of their block.
-
-    Right-looking Cholesky on the block's pivot rows H (the residual kernel
-    restricted to the drawn pivots), skipping every pivot whose residual
-    after the kept ones is at most tol.  Returns (keep, L): the kept
-    positions in order and L, lower triangular, with
-    L L^T = H[keep][:, keep].
-    """
-    H = H.copy()
-    keep, cols = [], []
-    for j in range(H.shape[0]):
-        pivot = H[j, j]
-        if pivot <= tol:
-            continue
-        col = H[:, j] / np.sqrt(pivot)
-        H -= np.outer(col, col)
-        keep.append(j)
-        cols.append(col)
-    keep = np.array(keep, dtype=int)
-    return keep, np.array(cols).T[keep] if cols else np.zeros((0, 0))
+    return F, DegreeVector(deg), np.array(J)
 
 
 def gaussian_sketch_basis(A, n, l, q, seed):

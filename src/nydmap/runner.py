@@ -591,7 +591,7 @@ _FLAGS = (
     (
         "pinv_tolerance",
         "pinv-tol",
-        "relative pseudo-inverse cutoff and column-pivoting tolerance",
+        "relative pseudo-inverse cutoff; the column sketch's pivot-block eigenvalue cutoff",
     ),
 )
 
