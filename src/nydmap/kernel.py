@@ -25,7 +25,9 @@ against 0.121 untiled.  Each entry goes through the same operations in
 the same order whatever the block and tile shapes, so the kernel's bitwise
 contracts (exact symmetry, unit diagonal, block-size invariance, columns
 equal to the matrix's columns, degrees equal to its row sums) hold by
-construction.
+construction.  The projection sketch takes its degrees instead from the
+ones column of its first multiply by K (spectral.DiffusionOperator), whose
+strip sums agree with these to rounding.
 """
 
 from dataclasses import dataclass
@@ -219,36 +221,15 @@ def gaussian_kernel_columns(X, sigma, J):
     return cols
 
 
-def degrees_and_product(X, sigma, Z):
-    """Exact kernel row sums and K Z from one pass of full row blocks.
-
-    Blocks hold BLOCK_ENTRIES // n rows, and peak memory is one block
-    besides the n-by-k result.  Each block's row sums are taken before it
-    is multiplied by Z, so the degrees are the bits degree_vector returns.
-    The projection sketch takes its first product here.
-
-    Returns (DegreeVector, K Z).
-    """
-    _check_sigma(sigma)
-    n = X.n
-    if Z.ndim != 2 or Z.shape[0] != n:
-        raise DimensionError(f"Z must be an n-by-k array with n={n}, got shape {Z.shape}")
-    deg = np.empty(n)
-    KZ = np.empty((n, Z.shape[1]))
-    for i0, i1 in row_blocks(n, n):
-        block = gaussian_kernel_block(X.values[i0:i1], X.values, sigma)
-        deg[i0:i1] = block.sum(axis=1)
-        np.matmul(block, Z, out=KZ[i0:i1])
-        del block  # free it before the next block is allocated
-    return DegreeVector(deg), KZ
-
-
 def degree_vector(X, sigma):
     """Exact kernel row sums, streamed in blocks of BLOCK_ENTRIES // n rows.
 
     Peak memory is one block, at most BLOCK_ENTRIES entries.  Row sums of a
     materialized kernel matrix reduce over the same contiguous axis in the
-    same order, so both routes agree bitwise.  This is degrees_and_product
-    with an n-by-0 Z.
+    same order, so both routes agree bitwise, whatever the block size.
     """
-    return degrees_and_product(X, sigma, np.empty((X.n, 0)))[0]
+    _check_sigma(sigma)
+    deg = np.empty(X.n)
+    for i0, i1 in row_blocks(X.n, X.n):
+        deg[i0:i1] = gaussian_kernel_block(X.values[i0:i1], X.values, sigma).sum(axis=1)
+    return DegreeVector(deg)

@@ -13,7 +13,8 @@ A ~= F F^T:
   subspace iteration, then C = AQ, W = Q^T C and F = C W^-1/2.
   gaussian_sketch_basis starts it from Gaussian noise;
   ``runner.decompose`` starts it from Gaussian noise with a ones first
-  column, and its degree pass forms the first product.
+  column, and the ones column of its first product, K Z, gives the
+  degrees.
 
 Eigenpairs are recovered from the thin SVD of F: the squared singular
 values approximate the eigenvalues of A and the left singular vectors
@@ -43,7 +44,7 @@ from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
 PIVOT_ROUNDS = 12
 
 
-def sample_columns(kernel_columns, n, l, seed, tol):
+def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
     """Column-sampling factor of A by block randomly pivoted Cholesky.
 
     K ~= F_K F_K^T from at most l kernel columns (Chen, Epperly, Tropp and

@@ -52,7 +52,6 @@ from .errors import (
 from .kernel import (
     DegreeVector,
     degree_vector,  # not called here: perfbench's tracer wraps this site
-    degrees_and_product,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
@@ -81,7 +80,7 @@ _CONFIG_ERRORS = (ParameterError, DataFormatError, DimensionError, IndexingError
 _STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering")
 
 # The ExperimentConfig fields that are decompose's settings.
-_SETTINGS = ("sigma", "d", "oversampling", "power_iterations", "seed", "pinv_tolerance")
+_SETTINGS = ("sigma", "d", "oversampling", "power_iterations", "seed")
 
 
 @dataclass
@@ -97,7 +96,6 @@ class ExperimentConfig:
     oversampling: int = 10
     power_iterations: int = 2
     seed: int = 0
-    pinv_tolerance: float = 1e-12
     noise_std: float = 0.05
     csv_path: str = ""
     csv_skip_header: bool = False
@@ -139,10 +137,6 @@ class ExperimentConfig:
         if self.power_iterations < 0:
             raise ParameterError(
                 f"power_iterations must be >= 0, got {self.power_iterations}"
-            )
-        if not 0.0 < self.pinv_tolerance < 1.0:
-            raise ParameterError(
-                f"pinv_tolerance must lie in (0, 1), got {self.pinv_tolerance}"
             )
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
@@ -256,7 +250,7 @@ def _dense_operator(X, sigma, run):
 
 def decompose(
     X, sigma, method, d, oversampling=10, power_iterations=2, seed=0,
-    pinv_tolerance=1e-12, A=None, deg=None, clock=None,
+    A=None, deg=None, clock=None,
 ):
     """Top-d eigenpairs of X's diffusion operator by one of spectral.METHODS.
 
@@ -265,9 +259,11 @@ def decompose(
     exactly.  ``nystrom_projection`` starts from an n-by-l Gaussian block
     Z, l = d + oversampling, drawn from ``seed``, whose first column is
     ones: A's top eigenvector is D^1/2 1, so the sketch holds it exactly.
-    One streamed kernel pass gives the exact degrees and K Z, hence the
-    first product A D^1/2 Z = D^-1/2 K Z; subspace iteration continues on a
-    matrix-free DiffusionOperator to ``power_iterations`` passes of two
+    Its first product is K Z, one multiply by a DiffusionOperator with
+    unit degrees (about half a kernel pass, timed as the degrees stage):
+    the ones column K 1 gives the degrees, equal to the exact row sums to
+    rounding, and D^-1/2 K Z = A D^1/2 Z.  Subspace iteration continues on
+    a matrix-free DiffusionOperator to ``power_iterations`` passes of two
     multiplies, the first product counted, and C = AQ makes one more.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
     the degrees from its factor (see sample_columns).  d, oversampling,
@@ -275,12 +271,13 @@ def decompose(
     kernel entry is evaluated.
 
     A materialized symmetric operator ``A`` and its degrees ``deg`` replace
-    the kernel and degree passes (compare_methods shares one between the
-    exact solve and the projection, whose first product is then
-    A @ (D^1/2 Z)); each without the other is a ParameterError, either not
-    sized to X a DimensionError.  Column sampling ignores both.  A ``clock``
-    (a _StageClock) times the kernel, degrees and decomposition stages and
-    raises a failure as a StageFailure naming its stage.
+    the exact solve's kernel and degrees and the projection's multiply by K
+    (compare_methods shares one between the two, and the projection's first
+    product is then A @ (D^1/2 Z)); each without the other is a
+    ParameterError, either not sized to X a DimensionError.  Column
+    sampling ignores both.  A ``clock`` (a _StageClock) times the kernel,
+    degrees and decomposition stages and raises a failure as a
+    StageFailure naming its stage.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
@@ -312,9 +309,14 @@ def decompose(
 
         Z, _ = run("decomposition", start)
         if A is None:
-            # One kernel pass: the exact degrees and K Z, so that
-            # Y = D^-1/2 K Z, a matrix-free operator's first product.
-            (deg, Y), _ = run("degrees", lambda: degrees_and_product(X, sigma, Z))
+
+            def first_product():
+                # A multiply by K itself; Z's ones column gives K 1, the
+                # degrees, copied out before Y = D^-1/2 K Z is formed in place.
+                KZ = DiffusionOperator(X, sigma, DegreeVector(np.ones(X.n))) @ Z
+                return DegreeVector(KZ[:, 0].copy()), KZ
+
+            (deg, Y), _ = run("degrees", first_product)
             Y /= np.sqrt(deg.values)[:, None]
             A = DiffusionOperator(X, sigma, deg)
         else:
@@ -331,9 +333,9 @@ def decompose(
             return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
         if method == "nystrom_columns":
             columns = functools.partial(gaussian_kernel_columns, X, sigma)
-            F, col_deg, _ = sample_columns(columns, X.n, l, seed, pinv_tolerance)
-            return nystrom_eigs(F, d, col_deg, pinv_tolerance, method)
-        return nystrom_eigs(project(A, Q, pinv_tolerance), d, deg, pinv_tolerance)
+            F, col_deg, _ = sample_columns(columns, X.n, l, seed)
+            return nystrom_eigs(F, d, col_deg, method=method)
+        return nystrom_eigs(project(A, Q), d, deg)
 
     return run("decomposition", solve)[0]
 
@@ -588,11 +590,6 @@ _FLAGS = (
     ),
     ("cluster_k", "cluster", "k-means cluster count (0 = off)"),
     ("noise_std", "noise-std", "generator noise level"),
-    (
-        "pinv_tolerance",
-        "pinv-tol",
-        "relative pseudo-inverse cutoff; the column sketch's pivot-block eigenvalue cutoff",
-    ),
 )
 
 # Config-file keys, with "-" read as "_": each field's name and its flag's.

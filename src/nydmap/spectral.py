@@ -309,9 +309,10 @@ class DiffusionOperator:
     rows below, through one n-by-k buffer for the transposed products:
     about half a kernel pass, (n^2 + n * b) / 2 entries at most.  Each
     multiply reads BLOCK_ENTRIES as it starts.  Products are bitwise
-    repeatable for a given n, but their rounding depends on b.
-    This is the multiply provider for the projection sketch when the
-    kernel matrix does not fit or should not be materialized.
+    repeatable for a given n, but their rounding depends on b.  With unit
+    degrees it multiplies by K itself.  This is the multiply provider for
+    the projection sketch when the kernel matrix does not fit or should
+    not be materialized.
     """
 
     def __init__(self, data, sigma, deg):

@@ -10,7 +10,6 @@ from nydmap import (
     CapacityError,
     DataMatrix,
     DegeneracyError,
-    DimensionError,
     IndexingError,
     NumericError,
     ParameterError,
@@ -22,7 +21,6 @@ from nydmap import kernel
 from nydmap.kernel import (
     BLOCK_ENTRIES,
     DegreeVector,
-    degrees_and_product,
     gaussian_kernel_block,
 )
 from nydmap.spectral import DiffusionOperator
@@ -127,19 +125,16 @@ def test_degrees_match_materialized_rowsums(block_rows):
 
 
 def test_degree_pass_with_product(block_rows):
-    # The fused pass gives the same degree bits as the plain one and the
-    # materialized row sums, and K Z over several row blocks.
+    # Over several row blocks, the streamed degrees are the materialized row
+    # sums bitwise, and the unit-degree operator multiplies by K itself.
     X = _random_data(300, 3, 10)
     Z = np.random.default_rng(11).normal(size=(300, 7))
     K = gaussian_kernel_matrix(X, 0.6)
     block_rows(64, 300)
-    deg, KZ = degrees_and_product(X, 0.6, Z)
-    assert np.array_equal(deg.values, degree_vector(X, 0.6).values)
-    assert np.array_equal(deg.values, K.sum(axis=1))
+    assert np.array_equal(degree_vector(X, 0.6).values, K.sum(axis=1))
+    KZ = DiffusionOperator(X, 0.6, DegreeVector(np.ones(300))) @ Z
     dense = K @ Z
     assert np.linalg.norm(KZ - dense) <= 1e-13 * np.linalg.norm(dense)
-    with pytest.raises(DimensionError):
-        degrees_and_product(X, 0.6, Z[:299])
 
 
 def test_degrees_identical_points():
@@ -290,13 +285,13 @@ def _tiled_results(values):
     rng = np.random.default_rng(23)
     Z, B = rng.normal(size=(n, 5)), rng.normal(size=(n, 4))
     J = rng.choice(n, size=17, replace=False)
-    deg, KZ = degrees_and_product(pts, 0.6, Z)
+    deg = degree_vector(pts, 0.6)
     return [
         gaussian_kernel_block(values[:90], values, 0.6),
         gaussian_kernel_matrix(pts, 0.6),
         gaussian_kernel_columns(pts, 0.6, J),
         deg.values,
-        KZ,
+        DiffusionOperator(pts, 0.6, DegreeVector(np.ones(n))).matmat(Z),
         DiffusionOperator(pts, 0.6, deg).matmat(B),
     ]
 

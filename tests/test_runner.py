@@ -32,7 +32,7 @@ from nydmap import (
     save_csv,
     symmetric_matrix,
 )
-from nydmap import kernel, nystrom
+from nydmap import kernel
 from nydmap.kernel import DegreeVector
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
@@ -72,8 +72,6 @@ def test_config_validation():
         dict(cluster_k=-1),
         dict(oversampling=-1),
         dict(power_iterations=-1),
-        dict(pinv_tolerance=2.0),
-        dict(pinv_tolerance=0.0),
     ]
     for kw in bad:
         with pytest.raises(ParameterError):
@@ -97,7 +95,6 @@ def test_config_file_roundtrip(tmp_path):
         oversampling=4,
         power_iterations=1,
         seed=5,
-        pinv_tolerance=1e-10,
         noise_std=0.01,
         csv_path="points.csv",
         csv_skip_header=True,
@@ -132,7 +129,6 @@ def test_load_config_file_parsing(tmp_path):
         "sigma = 0.25\n"
         "oversample = 4\n"
         "power-iters = 1\n"
-        "pinv_tol = 1e-10\n"
     )
     assert load_config_file(str(path)) == {
         "d": 7,
@@ -142,7 +138,6 @@ def test_load_config_file_parsing(tmp_path):
         "sigma": 0.25,
         "oversampling": 4,
         "power_iterations": 1,
-        "pinv_tolerance": 1e-10,
     }
     (tmp_path / "bad_key.cfg").write_text("bandwidth = 3\n")
     with pytest.raises(ParameterError):
@@ -271,23 +266,6 @@ def test_decompose_rejects_negative_seed(kernel_entries):
     assert kernel_entries == []
 
 
-def test_decompose_passes_pinv_tolerance_to_projection_inverse_root(monkeypatch):
-    X = generate_helix(300, noise_std=0.05, seed=0)
-    A = symmetric_matrix(gaussian_kernel_matrix(X, 0.5), degree_vector(X, 0.5))
-    tols = []
-    inverse_sqrt = nystrom.psd_inverse_sqrt
-
-    def spy(W, tol):
-        tols.append(tol)
-        return inverse_sqrt(W, tol)
-
-    monkeypatch.setattr(nystrom, "psd_inverse_sqrt", spy)
-    for operator in ({}, {"A": A, "deg": degree_vector(X, 0.5)}):
-        tols.clear()
-        decompose(X, 0.5, "nystrom_projection", 10, pinv_tolerance=1e-9, **operator)
-        assert tols == [1e-9]
-
-
 def test_decompose_rejects_operator_of_another_size(kernel_entries):
     X = generate_helix(300, noise_std=0.05, seed=0)
     small, small_deg = np.eye(200), DegreeVector(np.ones(200))
@@ -300,7 +278,7 @@ def test_decompose_rejects_operator_of_another_size(kernel_entries):
 
 
 def test_decompose_rejects_degrees_without_operator(kernel_entries):
-    # The degree pass also forms the first product, so degrees alone would
+    # The first product also gives the degrees, so degrees alone would
     # spare no kernel entry.
     X = generate_helix(200, noise_std=0.05, seed=0)
     deg = degree_vector(X, 0.5)
@@ -312,14 +290,15 @@ def test_decompose_rejects_degrees_without_operator(kernel_entries):
 
 
 def test_decompose_projection_matrix_free_matches_materialized():
-    # The fused degree pass on the matrix-free operator and the product by a
-    # materialized A (compare's route) differ only in rounding.
+    # The matrix-free route, whose degrees are its first product's ones
+    # column, and the product by a materialized A (compare's route) differ
+    # only in rounding.
     X = generate_helix(300, noise_std=0.05, seed=1)
     deg = degree_vector(X, 0.5)
     A = symmetric_matrix(gaussian_kernel_matrix(X, 0.5), deg)
     free = decompose(X, 0.5, "nystrom_projection", 10)
     dense = decompose(X, 0.5, "nystrom_projection", 10, A=A, deg=deg)
-    assert np.array_equal(free.degrees.values, deg.values)
+    assert np.max(np.abs(free.degrees.values - deg.values) / deg.values) <= 1e-14
     assert np.abs(free.eigenvalues - dense.eigenvalues).max() <= 1e-10
     err = relative_embedding_error(diffusion_map(dense, 1.0), diffusion_map(free, 1.0))
     assert err < 1e-8
@@ -331,13 +310,13 @@ def _half_pass_entries(n):
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_decompose_projection_kernel_entries(kernel_entries, block_rows, q):
-    # One full pass for the degrees and the first product, and 2q half-pass
-    # multiplies (C = AQ among them).
+    # 2q half-pass multiplies, the first by K itself, and C = AQ makes one
+    # more.
     n, l = 300, 20
     X = generate_helix(n, noise_std=0.05, seed=1)
     block_rows(64, n)
     decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=q)
-    assert sum(kernel_entries) == n * n + 2 * q * _half_pass_entries(n)
+    assert sum(kernel_entries) == (2 * q + 1) * _half_pass_entries(n)
 
 
 def test_decompose_projection_without_power_iterations(kernel_entries, block_rows):
@@ -345,7 +324,7 @@ def test_decompose_projection_without_power_iterations(kernel_entries, block_row
     X = generate_helix(n, noise_std=0.05, seed=1)
     block_rows(64, n)
     model = decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=0)
-    assert sum(kernel_entries) <= n * n + _half_pass_entries(n)
+    assert sum(kernel_entries) == 2 * _half_pass_entries(n)
     assert model.rank_d == 10
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(model.eigenvalues) <= 0.0)
@@ -765,7 +744,6 @@ def test_every_cli_flag_sets_its_field():
         "--classic-weighting",
         "--cluster", "3",
         "--noise-std", "0.01",
-        "--pinv-tol", "1e-10",
     ]
     expected = ExperimentConfig(
         dataset="swiss_roll",
@@ -784,7 +762,6 @@ def test_every_cli_flag_sets_its_field():
         classic_weighting=True,
         cluster_k=3,
         noise_std=0.01,
-        pinv_tolerance=1e-10,
     )
     # Every field differs from its default, so a flag that maps nowhere shows.
     defaults = ExperimentConfig()
