@@ -1,7 +1,8 @@
 """Dataset generation and CSV ingestion.
 
 Three generators (noisy helix, noisy Swiss roll, Lorenz trajectory) plus
-plain CSV load/save.  All randomness goes through ``numpy.random.default_rng``
+CSV load and save; save writes each value as ``"%.16e"``, which load reads
+back bit for bit.  All randomness goes through ``numpy.random.default_rng``
 (PCG64), so a fixed seed gives a bitwise-identical dataset on every platform
 we target.
 """
@@ -238,14 +239,14 @@ def save_csv(path, values, header=None):
     17 digits round-trip float64 exactly, so save followed by load_csv
     reproduces the matrix.  Accepts a DataMatrix or any 2-d array-like.
 
-    The bytes are exactly those of ``"%.17g" % v`` for every value, joined
+    The bytes are exactly those of ``"%.16e" % v`` for every value, joined
     by commas, each row ending in a line feed: what
-    ``np.savetxt(fmt="%.17g", delimiter=",")`` writes.  Rows are encoded
+    ``np.savetxt(fmt="%.16e", delimiter=",")`` writes.  Rows are encoded
     ``CSV_CHUNK_VALUES`` values at a time with array arithmetic, so the
-    writer's working set stays at a few MB whatever the matrix size.  A
+    writer's working set stays at about 1 MB whatever the matrix size.  A
     value whose digits the array arithmetic cannot prove (non-finite,
-    subnormal or beyond the scale table, or within a rounding tie) is
-    formatted on its own with ``"%.17g"``.
+    subnormal or beyond the scale table, within a rounding tie, or
+    rounding up to 10**17) is formatted on its own with ``"%.16e"``.
     """
     if isinstance(values, DataMatrix):
         values = values.values
@@ -265,75 +266,39 @@ def save_csv(path, values, header=None):
 
 
 # save_csv encodes this many values at a time; a chunk's temporaries take
-# about 600 bytes per value.
+# about 250 bytes per value.
 CSV_CHUNK_VALUES = 1 << 12
 
 # Magnitudes whose digits come from the scale table, and the exponents k of
 # the table's 10**k: those that scale such a magnitude to 17 integer digits.
 _FAST_MIN, _FAST_MAX = 1e-290, 1e299
 _K_MIN, _K_MAX = -283, 308
-# A scaled fraction this close to .5 goes to "%.17g"; the double-double
+# A scaled fraction this close to .5 goes to "%.16e"; the double-double
 # product is accurate to about 1e-14 at 1e17.
 _TIE_TOL = 1e-6
 
-# Byte columns of the per-value source the text is gathered from: digits
-# 2-17 of the significand, "0" and three exponent digits, the leading
-# digit, then constants.  A "%.17g" string (24 bytes at most) replaces
-# columns 0-23.
-_LEAD = 20
-_ZERO, _DOT, _E, _SIGN, _SEP, _PAD, _PLUS, _MINUS = range(24, 32)
-_CONSTANTS = b"0.e\0\0\0+-"
-_WIDTH = 25
-# Layout modes: 0-20 fixed notation for exponents -4..16, 21-24
-# scientific (exponent sign, two or three exponent digits), 25 "%.17g".
-_SCI, _TEXT = 21, 25
-_EXP_MIN, _EXP_MAX = 16 - _K_MAX, 16 - _K_MIN
-
-
-def _layout(mode, nz):
-    """Source columns of one field with nz significant digits, padded."""
-    digits = [_LEAD] + list(range(16))
-    if mode == _TEXT:
-        cols = list(range(24))
-    elif mode < _SCI:
-        x = mode - 4
-        if x >= 0:
-            cols = [_SIGN] + digits[: x + 1]
-            if nz > x + 1:
-                cols += [_DOT] + digits[x + 1 : nz]
-        else:
-            cols = [_SIGN, _ZERO, _DOT] + [_ZERO] * (-x - 1) + digits[:nz]
-    else:
-        negative, three = divmod(mode - _SCI, 2)
-        cols = [_SIGN, _LEAD] + ([_DOT] + digits[1:nz] if nz > 1 else [])
-        cols += [_E, _MINUS if negative else _PLUS] + [17, 18, 19][1 - three :]
-    cols.append(_SEP)
-    return cols + [_PAD] * (_WIDTH - len(cols))
+# Each value's field, in output order with NUL pad bytes: sign, leading
+# digit, ".", digits 2-17 of the significand as four 4-digit words, "e",
+# the exponent as a 4-digit word with its sign over the thousands digit
+# and its hundreds digit dropped below 100, then the separator.
+_RECORD = np.frombuffer(
+    b"\0\0.\0" + b"0" * 16 + b"e\0\0\0" + b"\0\0\0\0" + b",\0\0\0", dtype=np.uint8
+)
+_SEP = 28
 
 
 @functools.cache
 def _csv_tables():
     """Lookup tables of the CSV encoder, built on first use.
 
-    - layouts: the source columns of a field, by mode * 18 + digit count;
-    - keys: mode * 18 by decimal exponent, from _EXP_MIN;
-    - text4, zeros4: the 4-byte text and trailing-zero count of 0-9999;
+    - text4: the 4-byte text of 0-9999;
     - scale: each 10**k, k from _K_MIN, as a double-double hi + lo, with hi
       split into halves of at most 27 bits for Dekker's exact product.
       Python's int true division rounds correctly.
     """
-    layouts = np.array(
-        [_layout(mode, max(nz, 1)) for mode in range(_TEXT + 1) for nz in range(18)],
-        dtype=np.intp,
-    )
-    exps = np.arange(_EXP_MIN, _EXP_MAX + 1)
-    modes = np.where(
-        (exps >= -4) & (exps <= 16), exps + 4, _SCI + 2 * (exps < 0) + (np.abs(exps) >= 100)
-    )
     group = np.arange(10000)
     text = group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
     text4 = np.ascontiguousarray(text, dtype=np.uint8).view(np.uint32).ravel()
-    zeros4 = sum((group % 10**i == 0).astype(np.intp) for i in range(1, 5))
     scale = np.empty((4, _K_MAX - _K_MIN + 1))
     for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -344,7 +309,7 @@ def _csv_tables():
         bits = int(mant * 2**53)
         top = bits >> 27 << 27
         scale[:, i] = (hi, math.ldexp(top, exp - 53), math.ldexp(bits - top, exp - 53), lo)
-    return layouts, modes * 18, text4, zeros4, tuple(scale)
+    return text4, tuple(scale)
 
 
 def _scaled(a, k, scale):
@@ -367,8 +332,8 @@ def _exponent_off(hi, lo):
 
 
 def _encode_rows(values):
-    """CSV bytes of a block of rows, one "%.17g" field per value."""
-    layouts, keys, text4, zeros4, scale = _csv_tables()
+    """CSV bytes of a block of rows, one "%.16e" field per value."""
+    text4, scale = _csv_tables()
     rows, cols = values.shape
     x = values.ravel()
     a = np.abs(x)
@@ -393,8 +358,9 @@ def _encode_rows(values):
     fast &= (np.abs(frac - 0.5) > _TIE_TOL) & (sig < 10**17)
     sig[zero] = 0
 
-    # Each value's source bytes; its field is gathered from them by layout.
-    src = np.empty((x.size, 32), dtype=np.uint8)
+    # Each value's field in _RECORD's layout; the pad bytes go at the end.
+    src = np.empty((x.size, _RECORD.size), dtype=np.uint8)
+    src[:] = _RECORD
     words = src.view(np.uint32)
     lead = sig // 10**16
     rest = sig - lead * 10**16
@@ -403,26 +369,17 @@ def _encode_rows(values):
     g0, g2 = upper // 10**4, lower // 10**4
     g1, g3 = upper - g0 * 10**4, lower - g2 * 10**4
     for i, g in enumerate((g0, g1, g2, g3)):
-        words[:, i] = text4.take(g)
-    words[:, 4] = text4.take(np.abs(exp))
-    src[:, _LEAD] = lead + 48
-    src.view(np.uint64)[:, 3] = np.frombuffer(_CONSTANTS, dtype=np.uint64)
-    src[:, _SIGN] = np.signbit(x) * 45
-    sep = src.reshape(rows, cols, 32)[:, :, _SEP]
-    sep[:] = 44
-    sep[:, -1] = 10
-
-    tz = zeros4.take(g0)
-    for g in (g1, g2, g3):
-        tz = zeros4.take(g) + (g == 0) * tz
-    key = keys.take(exp - _EXP_MIN) + 17 - tz
+        words[:, i + 1] = text4.take(g)
+    mag = np.abs(exp)
+    words[:, 6] = text4.take(mag)
+    src[:, 24] = np.where(exp < 0, 45, 43)
+    src[:, 25] *= mag >= 100
+    src[:, 1] = lead + 48
+    src[:, 0] = np.signbit(x) * 45
+    src.reshape(rows, cols, -1)[:, -1, _SEP] = 10
     for i in np.flatnonzero(~fast):
-        key[i] = _TEXT * 18
-        text = ("%.17g" % x[i]).encode("ascii")
-        src[i, :24] = 0
+        text = ("%.16e" % x[i]).encode("ascii")
+        src[i, :_SEP] = 0
         src[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    # Gather every field at full width, then drop the pad bytes.
-    index = layouts.take(key, axis=0)
-    index += np.arange(0, src.size, 32)[:, None]
-    out = src.ravel().take(index).ravel()
+    out = src.ravel()
     return out[out != 0]

@@ -43,8 +43,12 @@ from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
 # of 10.
 PIVOT_ROUNDS = 12
 
+# The numerical-rank cutoff of both sketches; each function's docstring
+# states the form it takes there.
+RANK_TOL = 1e-12
 
-def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
+
+def sample_columns(kernel_columns, n, l, seed):
     """Column-sampling factor of A by block randomly pivoted Cholesky.
 
     K ~= F_K F_K^T from at most l kernel columns (Chen, Epperly, Tropp and
@@ -56,14 +60,14 @@ def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
     subtracts what the factor already explains and appends the Nystrom
     factor of the residual columns G: G V Lambda^-1/2, with (Lambda, V) the
     eigenpairs of the pivot block G[S] whose eigenvalues exceed the
-    absolute ``tol``.  Directions the factor already holds drop out, such
-    as a copy of a point drawn in the same round as its twin.  Pivoting
-    stops once l columns are filled, or earlier, with a
-    RankDeficiencyWarning, once the residual trace is at most tol * n; the
-    unused columns of F stay zero.  The degrees come from the factor,
-    deg = F_K (F_K^T 1) (Fowlkes, Belongie, Chung and Malik, TPAMI 2004),
-    so no step touches all n^2 kernel entries.  F = D^-1/2 F_K, with
-    A ~= F F^T.
+    absolute RANK_TOL.  Directions the factor already holds drop out,
+    such as a copy of a point drawn in the same round as its twin.
+    Pivoting stops once l columns are filled, or earlier, with a
+    RankDeficiencyWarning, once the residual trace is at most
+    RANK_TOL * n; the unused columns of F stay zero.  The degrees come
+    from the factor, deg = F_K (F_K^T 1) (Fowlkes, Belongie, Chung and
+    Malik, TPAMI 2004), so no step touches all n^2 kernel entries.
+    F = D^-1/2 F_K, with A ~= F F^T.
 
     Returns
     -------
@@ -80,8 +84,6 @@ def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
     """
     if not 1 <= l <= n:
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
-    if not 0.0 < tol < 1.0:
-        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     rng = np.random.default_rng(seed)
     per_round = -(-l // PIVOT_ROUNDS)
     F = np.zeros((n, l))
@@ -90,7 +92,7 @@ def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
     r = 0
     while r < l:
         cumulative = np.cumsum(residual)
-        if cumulative[-1] <= tol * n:
+        if cumulative[-1] <= RANK_TOL * n:
             break
         # side="right" never lands on an index whose residual is zero.
         u = rng.random(min(per_round, l - r)) * cumulative[-1]
@@ -103,7 +105,7 @@ def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
         G -= F[:, :r] @ F[S, :r].T
         # eigh reads only the lower triangle of the pivot block.
         vals, vecs = np.linalg.eigh(G[S])
-        keep = vals > tol
+        keep = vals > RANK_TOL
         if keep.any():
             block = G @ (vecs[:, keep] / np.sqrt(vals[keep]))
             F[:, r:r + block.shape[1]] = block
@@ -115,7 +117,7 @@ def sample_columns(kernel_columns, n, l, seed, tol=1e-12):
     if r < l:
         warnings.warn(
             f"column pivoting stopped at {r} of {l} columns: the residual "
-            f"trace {residual.sum():.3e} is at most tol * n",
+            f"trace {residual.sum():.3e} is at most RANK_TOL * n",
             RankDeficiencyWarning,
             stacklevel=2,
         )
@@ -189,12 +191,12 @@ def subspace_iteration(A, Y, steps):
     return Q
 
 
-def project(A, Q, tol=1e-12):
+def project(A, Q):
     """Projection factor F = C W^-1/2 of A, with C = AQ and W = Q^T C.
 
     Q must be an orthonormal basis.  W is symmetrized as (W + W^T)/2 before
-    its inverse root (psd_inverse_sqrt with ``tol``); for symmetric A the
-    asymmetry is pure rounding noise.  A ~= F F^T = C W^+ C^T.
+    its inverse root (psd_inverse_sqrt); for symmetric A the asymmetry is
+    pure rounding noise.  A ~= F F^T = C W^+ C^T.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
@@ -211,21 +213,19 @@ def project(A, Q, tol=1e-12):
         )
     C = A @ Q
     W = Q.T @ C
-    return C @ psd_inverse_sqrt(0.5 * (W + W.T), tol)
+    return C @ psd_inverse_sqrt(0.5 * (W + W.T))
 
 
-def psd_inverse_sqrt(W, tol):
+def psd_inverse_sqrt(W):
     """Spectral pseudo-inverse square root of a symmetric PSD matrix.
 
-    Eigenvalues at or below tol * lambda_max are treated as zero, the rest
-    are mapped to 1/sqrt(lambda).  Raises DegeneracyError when the largest
-    eigenvalue is not positive, meaning the sketch captured nothing.
+    Eigenvalues at or below RANK_TOL * lambda_max are treated as zero, the
+    rest are mapped to 1/sqrt(lambda).  Raises DegeneracyError when the
+    largest eigenvalue is not positive, meaning the sketch captured nothing.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DimensionError(f"W must be square, got shape {W.shape}")
-    if not 0.0 < tol < 1.0:
-        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     if W.size and float(np.abs(W - W.T).max()) > SYMMETRY_TOL:
         raise ContractError(f"W is not symmetric within {SYMMETRY_TOL}")
     vals, vecs = np.linalg.eigh(W)
@@ -236,22 +236,22 @@ def psd_inverse_sqrt(W, tol):
             "the sketch captured nothing"
         )
     inv_root = np.zeros_like(vals)
-    keep = vals > tol * lam_max
+    keep = vals > RANK_TOL * lam_max
     inv_root[keep] = 1.0 / np.sqrt(vals[keep])
     M = (vecs * inv_root) @ vecs.T
     return 0.5 * (M + M.T)
 
 
-def nystrom_eigs(F, d, deg, tol=1e-12, method="nystrom_projection"):
+def nystrom_eigs(F, d, deg, method="nystrom_projection"):
     """Approximate top-d eigenpairs of A ~= F F^T from the thin SVD of F.
 
     Eigenvalues are the squared singular values (guaranteeing the diffusion
     spectrum stays nonnegative) and the left singular vectors, eigenvectors
     of A, give the Markov eigenvectors.  If the numerical rank of F
-    (singular values above sqrt(tol) times the largest) is below d, the
-    result is truncated and a RankDeficiencyWarning records the effective
-    rank.  Returns a SpectralModel tagged ``method``, the sketch that built
-    F: ``nystrom_projection`` or ``nystrom_columns``.
+    (singular values above sqrt(RANK_TOL) times the largest) is below d,
+    the result is truncated and a RankDeficiencyWarning records the
+    effective rank.  Returns a SpectralModel tagged ``method``, the sketch
+    that built F: ``nystrom_projection`` or ``nystrom_columns``.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
@@ -261,14 +261,12 @@ def nystrom_eigs(F, d, deg, tol=1e-12, method="nystrom_projection"):
         raise ParameterError(f"need 1 <= d <= sketch size {l}, got d={d}")
     if n != deg.n:
         raise DimensionError(f"F is for n={n} but degrees have length {deg.n}")
-    if not 0.0 < tol < 1.0:
-        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     if method not in ("nystrom_columns", "nystrom_projection"):
         raise ParameterError(f"unknown sketch method {method!r}")
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
     if not svals[0] > 0.0:
         raise DegeneracyError("approximate factor F is identically zero")
-    effective_rank = int(np.count_nonzero(svals > svals[0] * np.sqrt(tol)))
+    effective_rank = int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL)))
     keep = min(d, effective_rank)
     if keep < d:
         warnings.warn(

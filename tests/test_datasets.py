@@ -216,7 +216,7 @@ def test_csv_roundtrip_is_exact(tmp_path):
 
 def _savetxt_bytes(values):
     buf = io.BytesIO()
-    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    np.savetxt(buf, values, fmt="%.16e", delimiter=",")
     return buf.getvalue()
 
 
@@ -272,19 +272,19 @@ def test_save_csv_exponent_boundaries_and_ties(tmp_path):
         # True 17-digit ties round to even: down here, up in the next.
         (2.0**-25, b"2.9802322387695312e-08"),
         (11 * 2.0**-23, b"1.3113021850585938e-06"),
-        (0.0, b"0"),
-        (-0.0, b"-0"),
-        (3.0, b"3"),
-        (-1e16, b"-10000000000000000"),
-        (1e17, b"1e+17"),
+        (0.0, b"0.0000000000000000e+00"),
+        (-0.0, b"-0.0000000000000000e+00"),
+        (3.0, b"3.0000000000000000e+00"),
+        (-1e16, b"-1.0000000000000000e+16"),
+        (1e17, b"1.0000000000000000e+17"),
         (1e-5, b"1.0000000000000001e-05"),
-        (0.0001, b"0.0001"),
+        (0.0001, b"1.0000000000000000e-04"),
         (1.5e300, b"1.5000000000000001e+300"),
         (float("nan"), b"nan"),
         (float("-inf"), b"-inf"),
     ]
     for value, text in cases:
-        assert ("%.17g" % value).encode() == text
+        assert ("%.16e" % value).encode() == text
     values = np.array([[v for v, _ in cases]])
     expected = b",".join(text for _, text in cases) + b"\n"
     assert _save_csv_bytes(tmp_path, values) == expected

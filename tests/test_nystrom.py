@@ -51,9 +51,9 @@ def _low_rank_psd(n, r, seed):
     return G @ G.T
 
 
-def _pivoted(X, sigma, l, seed, tol=1e-12):
+def _pivoted(X, sigma, l, seed):
     provider = lambda J: gaussian_kernel_columns(X, sigma, J)
-    return sample_columns(provider, X.n, l, seed, tol)
+    return sample_columns(provider, X.n, l, seed)
 
 
 def test_sample_columns_matches_materialized_operator():
@@ -72,17 +72,15 @@ def test_sample_columns_matches_materialized_operator():
 def test_sample_columns_deterministic_and_validated():
     X, _, _ = _diffusion_A(100, 2)
     provider = lambda J: gaussian_kernel_columns(X, 0.8, J)
-    f1, _, J1 = sample_columns(provider, 100, 20, 9, 1e-12)
-    f2, _, J2 = sample_columns(provider, 100, 20, 9, 1e-12)
+    f1, _, J1 = sample_columns(provider, 100, 20, 9)
+    f2, _, J2 = sample_columns(provider, 100, 20, 9)
     assert np.array_equal(J1, J2) and np.array_equal(f1, f2)
     with pytest.raises(ParameterError):
-        sample_columns(provider, 100, 101, 0, 1e-12)
+        sample_columns(provider, 100, 101, 0)
     with pytest.raises(ParameterError):
-        sample_columns(provider, 100, 0, 0, 1e-12)
-    with pytest.raises(ParameterError):
-        sample_columns(provider, 100, 5, 0, 0.0)
+        sample_columns(provider, 100, 0, 0)
     with pytest.raises(DimensionError):
-        sample_columns(lambda J: np.zeros((7, len(J))), 100, 5, 0, 1e-12)
+        sample_columns(lambda J: np.zeros((7, len(J))), 100, 5, 0)
 
 
 def test_sample_columns_complete_reconstruction():
@@ -249,7 +247,7 @@ def test_project_coordinate_basis():
     _, A, _ = _diffusion_A(60, 6)
     Q = np.eye(60)[:, :12]
     F = project(A, Q)
-    assert np.array_equal(F, A[:, :12] @ psd_inverse_sqrt(A[:12, :12], 1e-12))
+    assert np.array_equal(F, A[:, :12] @ psd_inverse_sqrt(A[:12, :12]))
 
 
 def test_project_zero_operator():
@@ -281,14 +279,14 @@ def test_project_agrees_with_direct_pseudo_inverse_route():
     F = project(A, Q)
     C = A @ Q
     W = Q.T @ C
-    M = psd_inverse_sqrt(0.5 * (W + W.T), 1e-12)
+    M = psd_inverse_sqrt(0.5 * (W + W.T))
     direct = C @ (M @ M) @ C.T
     assert np.abs(F @ F.T - direct).max() <= 1e-8
 
 
 def test_psd_inverse_sqrt_scalar_and_diagonal():
-    assert np.allclose(psd_inverse_sqrt(4.0 * np.eye(3), 1e-12), 0.5 * np.eye(3), atol=1e-15)
-    got = psd_inverse_sqrt(np.diag([1.0, 0.0]), 1e-12)
+    assert np.allclose(psd_inverse_sqrt(4.0 * np.eye(3)), 0.5 * np.eye(3), atol=1e-15)
+    got = psd_inverse_sqrt(np.diag([1.0, 0.0]))
     assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-15)
 
 
@@ -297,29 +295,27 @@ def test_psd_inverse_sqrt_projects_onto_range():
     # full rank: W M M recovers the identity
     B = rng.normal(size=(12, 12))
     W = B @ B.T + 12.0 * np.eye(12)
-    M = psd_inverse_sqrt(W, 1e-12)
+    M = psd_inverse_sqrt(W)
     assert np.abs(W @ M @ M - np.eye(12)).max() <= 1e-8
     # rank deficient: W M M is the orthogonal projector onto range(W)
     G = rng.normal(size=(12, 5))
     W = G @ G.T
-    M = psd_inverse_sqrt(W, 1e-12)
+    M = psd_inverse_sqrt(W)
     Qg = np.linalg.qr(G)[0]
     assert np.abs(W @ M @ M - Qg @ Qg.T).max() <= 1e-8
 
 
 def test_psd_inverse_sqrt_errors():
     with pytest.raises(DegeneracyError):
-        psd_inverse_sqrt(np.zeros((3, 3)), 1e-12)
+        psd_inverse_sqrt(np.zeros((3, 3)))
     with pytest.raises(DegeneracyError):
-        psd_inverse_sqrt(-np.eye(3), 1e-12)
+        psd_inverse_sqrt(-np.eye(3))
     asym = np.eye(3)
     asym[0, 2] = 1e-5
     with pytest.raises(ContractError):
-        psd_inverse_sqrt(asym, 1e-12)
-    with pytest.raises(ParameterError):
-        psd_inverse_sqrt(np.eye(3), 0.0)
+        psd_inverse_sqrt(asym)
     with pytest.raises(DimensionError):
-        psd_inverse_sqrt(np.zeros((2, 3)), 1e-12)
+        psd_inverse_sqrt(np.zeros((2, 3)))
 
 
 def test_nystrom_eigs_exact_on_low_rank():
@@ -338,20 +334,17 @@ def test_nystrom_eigs_exact_on_low_rank():
 
 
 def test_nystrom_eigs_identity_w_uses_c_unchanged():
-    # The column factor goes to the SVD as it is, and tol is still checked.
+    # The column factor goes to the SVD as it is.
     X, _, _ = _diffusion_A(300, 2)
     F, deg, _ = _pivoted(X, 0.8, 40, seed=3)
     model = nystrom_eigs(F, 30, deg, method="nystrom_columns")
     _, svals, _ = np.linalg.svd(F, full_matrices=False)
     assert np.array_equal(model.eigenvalues, svals[:30] ** 2)
-    for tol in (0.0, 1.0):
-        with pytest.raises(ParameterError, match="tol must lie in"):
-            nystrom_eigs(F, 30, deg, tol, "nystrom_columns")
 
 
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
-    F = 3.0 * np.eye(n) @ psd_inverse_sqrt(3.0 * np.eye(n), 1e-12)
+    F = 3.0 * np.eye(n) @ psd_inverse_sqrt(3.0 * np.eye(n))
     model = nystrom_eigs(F, n, DegreeVector(np.ones(n)), method="nystrom_columns")
     assert model.method == "nystrom_columns"
     assert np.allclose(model.eigenvalues, 3.0, rtol=0.0, atol=1e-12)
@@ -383,9 +376,9 @@ def test_nystrom_eigs_validation():
     W = np.eye(3)
     W[0, 1] = 1e-6
     with pytest.raises(ContractError):
-        psd_inverse_sqrt(W, 1e-12)
+        psd_inverse_sqrt(W)
     with pytest.raises(DimensionError):
-        psd_inverse_sqrt(np.zeros((4, 3)), 1e-12)
+        psd_inverse_sqrt(np.zeros((4, 3)))
 
 
 def test_nystrom_diffusion_eigenvalue_bounds():

@@ -24,6 +24,7 @@ from nydmap import (
     diffusion_map,
     gaussian_kernel_matrix,
     generate_helix,
+    kmeans_cluster,
     load_config_file,
     load_csv,
     load_report,
@@ -538,6 +539,43 @@ def test_compare_with_clustering(tmp_path):
     assert det_header.endswith(",label")
     nys_header = (out / "embedding_nystrom_projection.csv").read_text().splitlines()[0]
     assert "label" not in nys_header
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_embedding_csv_reloads_in_process_result(tmp_path, method):
+    config = _cfg(tmp_path, method=method, cluster_k=3)
+    run_experiment(config)
+    saved = np.loadtxt(tmp_path / "out" / "embedding.csv", delimiter=",", skiprows=1)
+    X = generate_helix(config.n, config.noise_std, config.seed)
+    model = decompose(
+        X, config.sigma, method, config.d, oversampling=config.oversampling,
+        power_iterations=config.power_iterations, seed=config.seed,
+    )
+    emb = diffusion_map(model, config.t, config.d)
+    labels = kmeans_cluster(emb, config.cluster_k, seed=config.seed)
+    assert np.array_equal(saved[:, :-1].view(np.uint64), emb.coords.view(np.uint64))
+    assert np.array_equal(saved[:, -1], labels.labels)
+
+
+def test_compare_spectrum_csv_reloads_report_eigenvalues(tmp_path):
+    # Three tight clusters: both sketches return 3 of the 10 eigenvalues.
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    points = np.repeat(centers, 20, axis=0) + rng.normal(scale=1e-7, size=(60, 3))
+    src = tmp_path / "clusters.csv"
+    save_csv(str(src), DataMatrix(points))
+    config = _cfg(
+        tmp_path, dataset="csv", csv_path=str(src), n=0, d=10, sigma=0.5, oversampling=5
+    )
+    report = compare_methods(config)
+    spectra = [report.eigenvalues] + [b["eigenvalues"] for b in report.comparison.values()]
+    expected = np.full((10, 4), np.nan)
+    expected[:, 0] = np.arange(10)
+    for j, vals in enumerate(spectra):
+        expected[: len(vals), j + 1] = vals
+    assert [len(vals) for vals in spectra] == [10, 3, 3]
+    saved = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(saved, expected, equal_nan=True)
 
 
 def test_csv_dataset(tmp_path):
