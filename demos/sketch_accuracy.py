@@ -1,8 +1,11 @@
-"""How sketch size and power iterations buy eigenvalue accuracy.
+"""How sketch size and Krylov blocks buy eigenvalue accuracy.
 
 The randomized projection sketch approximates the dominant eigenspace of
-the diffusion operator.  Oversampling widens the sketch; power iterations
-sharpen it toward the top of the spectrum.  Pivoted column sampling is far
+the diffusion operator.  Oversampling widens the sketch; each of the q
+Krylov blocks after the start block (``power_iterations``) costs one more
+multiply, and the basis keeps every product, so it reaches toward the top
+of the spectrum.  At q = 0 the sketch is plain Nystrom on the Gaussian
+start block, from one multiply.  Pivoted column sampling is far
 cheaper, since it fetches only its pivot columns of the kernel and takes
 the degrees from its factor, but less accurate at equal sketch width.
 Widening it buys accuracy fast: the last table gives the column sketch's
@@ -49,8 +52,8 @@ if __name__ == "__main__":
 
     columns = decompose(X, sigma, "nystrom_columns", d, oversampling=30)
     print(f"\npivoted column sampling at the widest sketch: {max_rel_error(columns):.2e}")
-    print("projection needs a handful of extra columns and one or two power")
-    print("iterations to hit solver-level accuracy; column sampling trades")
+    print("projection needs a handful of extra columns and one or two Krylov")
+    print("blocks to hit solver-level accuracy; column sampling trades")
     print("that accuracy for never touching the full operator: it evaluates")
     print(f"only its {d + 30} pivot columns of the kernel, degrees included")
 

@@ -3,8 +3,8 @@
 The pipeline: build a Gaussian kernel on the data, normalize it into the
 symmetric diffusion operator, take its top eigenpairs either exactly or
 through a Nystrom sketch (kernel columns picked by randomly pivoted
-Cholesky, with degrees taken from the factor, or a projection started
-from Gaussian noise and sharpened by subspace iterations), and
+Cholesky, with degrees taken from the factor, or a projection onto a
+block Krylov basis started from Gaussian noise), and
 embed the points by Markov eigenvector columns weighted with
 sqrt(lambda^t).
 

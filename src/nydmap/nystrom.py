@@ -1,7 +1,6 @@
 """Nystrom low-rank approximation of the symmetric diffusion operator.
 
-Both sketches reduce A ~= C W^+ C^T to one n-by-l factor F with
-A ~= F F^T:
+Both sketches reduce A ~= C W^+ C^T to one factor F with A ~= F F^T:
 
 * pivoted column sampling: block randomly pivoted Cholesky picks the
   kernel columns J and builds K ~= F_K F_K^T from them alone, each block
@@ -9,17 +8,20 @@ A ~= F F^T:
   eigendecomposition of its small pivot block; the degrees are taken from
   the factor, deg ~= F_K (F_K^T 1), and F = D^-1/2 F_K, so no step
   touches all n^2 kernel entries;
-* random projection: an orthonormal sketch basis Q is computed by
-  subspace iteration, then C = AQ, W = Q^T C and F = C W^-1/2.
+* random projection (project): a block Krylov basis Q = [P_0 ... P_q]
+  of A from a start block S keeps every product A P_k, and with the next
+  block it spans them all, A Q = Q_+ B, so F = A Q (Q^T A Q)^-1/2 =
+  Q_+ G comes from q + 1 multiplies and is kept factored, G small.
   gaussian_sketch_basis starts it from Gaussian noise;
   ``runner.decompose`` starts it from Gaussian noise with a ones first
   column, and the ones column of its first product, K Z, gives the
   degrees.
 
-Eigenpairs are recovered from the thin SVD of F: the squared singular
-values approximate the eigenvalues of A and the left singular vectors
-approximate its eigenvectors.  ``runner.decompose`` runs either sketch, or
-the exact solve, from data to SpectralModel.
+Eigenpairs are recovered from the thin SVD of F (of G, for the factored
+form): the squared singular values approximate the eigenvalues of A and
+the left singular vectors approximate its eigenvectors.
+``runner.decompose`` runs either sketch, or the exact solve, from data
+to SpectralModel.
 """
 
 import warnings
@@ -133,19 +135,17 @@ def sample_columns(kernel_columns, n, l, seed):
 
 
 def gaussian_sketch_basis(A, n, l, q, seed):
-    """Orthonormal basis capturing the dominant range of a symmetric operator.
+    """Projection sketch of a symmetric operator from a Gaussian start.
 
     ``A`` is an n-by-n ndarray or DiffusionOperator; only the products
-    ``A @ block`` are used.  Forms S = A Omega with Omega an n-by-l standard
-    normal matrix drawn from ``seed``, then runs q subspace-iteration
-    passes.  A is symmetric, so one pass multiplies by A twice,
-    re-orthonormalizing after every multiply to prevent the basis from
-    collapsing onto the top eigenvector; the result spans the range of
-    (A A^T)^q A Omega.
+    ``A @ block`` are used.  Draws an n-by-l standard normal start block
+    Omega from ``seed`` and returns project(A, Omega, A @ Omega, q): the
+    block Krylov Nystrom factor on span{Omega, A Omega, ..., A^q Omega},
+    from q + 1 multiplies.
 
     Returns
     -------
-    Q : ndarray of shape (n, l) with Q^T Q = I to machine precision.
+    (Q, G) : the factored form of F = Q G, A ~= F F^T (see project).
     """
     if not 1 <= l <= n:
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
@@ -154,66 +154,116 @@ def gaussian_sketch_basis(A, n, l, q, seed):
     if getattr(A, "shape", None) != (n, n):
         raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
     omega = np.random.default_rng(seed).standard_normal((n, l))
-    return subspace_iteration(A, A @ omega, 2 * q)
+    return project(A, omega, A @ omega, q)
 
 
-def subspace_iteration(A, Y, steps):
-    """Orthonormal basis for range(A^steps Y), re-orthonormalized after each multiply.
+def project(A, S, Y, q):
+    """Block Krylov Nystrom factor of A from a start block S and Y = A S.
 
-    Y is the first product of the sketch (A times a start block); its
-    Householder QR is followed by ``steps`` multiplies by A, each with its
-    own.  Q is orthonormal whatever the rank, and its columns span
-    range(A^steps Y) and more.  The numerical rank of a product is the
-    count of singular values above n * eps relative to the largest, taken
-    from R with its columns scaled to unit norm (a zero column keeps norm
-    1): scaling columns does not change their span, so a start block whose
-    columns differ in size by many decades is not mistaken for a
-    rank-deficient one.  If the smallest rank across the QRs falls short
-    of the column count, one RankDeficiencyWarning names it; a later
-    product's rank can also count noise-level directions that A draws
-    from the columns Householder QR completes.
+    The basis Q = [P_0 ... P_q] spans span{S, A S, ..., A^q S} (Musco and
+    Musco, NeurIPS 2015; Tropp and Webber, arXiv:2306.12418).  With
+    S = P_0 R_0, A P_0 = Y R_0^-1 costs no multiply, and each later block
+    one, W_k = A P_k: q + 1 in all, Y's counted.  Each product is
+    orthogonalised against all earlier blocks; of what is left, directions
+    whose singular value (from its Householder R) is at most n * eps times
+    the largest product column so far are rounding noise and are dropped,
+    and the rest are orthogonalised again and finished by one Cholesky QR
+    into the next block.  An empty block ends the iteration early.  The
+    coefficients form a block upper Hessenberg B with A Q = Q_+ B,
+    Q_+ = [Q, P_(q+1)] orthonormal, so the Nystrom factor on range(Q) is
+    F = A Q (Q^T A Q)^-1/2 = Q_+ G, G = B psd_inverse_sqrt(T) with T the
+    symmetrized top square of B.  Only Q_+ and small matrices are held.
+    S and Y are overwritten, and freed after the first block if the
+    caller holds no other reference to them.
+
+    One RankDeficiencyWarning reports a numerical rank of Y below l: the
+    count of its singular values above n * eps relative to the largest,
+    taken from Y's coefficients before any drop, [P_0^T W_0; R] R_0, with
+    their columns scaled to unit norm (a zero column keeps norm 1), so a
+    start block whose columns differ in size by many decades is not
+    mistaken for a rank-deficient one.
+
+    Returns (Q_+, G), the factored form of F = Q_+ G, with Q_+ n-by-r
+    orthonormal and r <= (q + 2) l.
     """
-    n, l = Y.shape
-    rank = l
-    for step in range(steps + 1):
-        Q, R = np.linalg.qr(Y if step == 0 else A @ Q)
-        norms = np.linalg.norm(R, axis=0)
-        norms[norms == 0.0] = 1.0
-        svals = np.linalg.svd(R / norms, compute_uv=False)
-        cutoff = svals[0] * n * np.finfo(float).eps
-        rank = min(rank, int(np.count_nonzero(svals > cutoff)))
+    n, l = S.shape
+    if getattr(A, "shape", None) != (n, n):
+        raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
+    if Y.shape != (n, l):
+        raise DimensionError(f"Y has shape {Y.shape}, expected ({n}, {l})")
+    # Column-major, so a block's memory is touched only once it is used.
+    # The columns after the last block filled are also scratch.
+    basis = np.empty(((q + 2) * l, n)).T
+    B = np.zeros(((q + 2) * l, (q + 1) * l))
+    # Householder R is accurate column by column, so S R^-1 is nearly
+    # orthonormal however the columns of S are scaled.
+    R0 = np.linalg.qr(S, mode="r")
+    P = np.matmul(S, np.linalg.inv(R0), out=basis[:, :l])
+    R0 = _cholesky_qr(P, _scratch(S, l)) @ R0
+    W = np.matmul(Y, np.linalg.inv(R0), out=_scratch(S, l))  # A P_0
+    del S, Y  # freed with W, unless the caller still holds them
+    noise = n * np.finfo(float).eps
+    scale = 0.0
+    k0, r = 0, l  # block k's first column, and the columns filled
+    for k in range(q + 1):
+        if k:
+            W = A @ basis[:, k0:r]
+        Q = basis[:, :r]
+        h = Q.T @ W
+        W -= np.matmul(Q, h, out=basis[:, r:r + W.shape[1]])
+        R = np.linalg.qr(W, mode="r")
+        coef = np.vstack((h, R))  # W's coefficients, before any drop
+        scale = max(scale, np.linalg.norm(coef, axis=0).max())
+        if k == 0:
+            _warn_rank(coef @ R0, n, l)
+        _, svals, Vt = np.linalg.svd(R)
+        w = min(int(np.count_nonzero(svals > noise * scale)), n - r)
+        P = np.matmul(W, Vt[:w].T / svals[:w], out=basis[:, r:r + w])
+        W = _scratch(W, w)
+        h2 = Q.T @ P
+        P -= np.matmul(Q, h2, out=W)
+        coef = svals[:w, None] * Vt[:w]  # W - Q h = (P before pass two) coef
+        B[:r, k0:r] = h + h2 @ coef
+        B[r:r + w, k0:r] = _cholesky_qr(P, W) @ coef
+        W = None
+        k0, r = r, r + w
+        if w == 0:
+            break
+    T = B[:k0, :k0]
+    return basis[:, :r], B[:r, :k0] @ psd_inverse_sqrt(0.5 * (T + T.T))
+
+
+def _scratch(M, w):
+    """A column-major n-by-w view of the memory of a contiguous array M.
+
+    Products of the column-major basis go to column-major arrays: with a
+    row-major ``out``, numpy's matmul grew the resident set by about the
+    size of the product (5 MB at n = 6000, w = 110) on every call.
+    """
+    return M.ravel(order="K")[:M.shape[0] * w].reshape(w, M.shape[0]).T
+
+
+def _cholesky_qr(P, scratch):
+    """Orthonormalise P's nearly orthonormal columns in place by one
+    Cholesky QR; returns R with P (before) = P (after) R.  ``scratch`` is
+    an array of P's shape."""
+    R = np.linalg.cholesky(P.T @ P).T
+    P[...] = np.matmul(P, np.linalg.inv(R), out=scratch)
+    return R
+
+
+def _warn_rank(M, n, l):
+    """One RankDeficiencyWarning if M's numerical rank is below l (see project)."""
+    norms = np.linalg.norm(M, axis=0)
+    norms[norms == 0.0] = 1.0
+    svals = np.linalg.svd(M / norms, compute_uv=False)
+    rank = int(np.count_nonzero(svals > svals[0] * n * np.finfo(float).eps))
     if rank < l:
         warnings.warn(
             f"sketch rank collapsed to {rank} of {l}",
             RankDeficiencyWarning,
             stacklevel=3,
         )
-    return Q
-
-
-def project(A, Q):
-    """Projection factor F = C W^-1/2 of A, with C = AQ and W = Q^T C.
-
-    Q must be an orthonormal basis.  W is symmetrized as (W + W^T)/2 before
-    its inverse root (psd_inverse_sqrt); for symmetric A the asymmetry is
-    pure rounding noise.  A ~= F F^T = C W^+ C^T.
-    """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2:
-        raise DimensionError(f"Q must be a matrix, got shape {Q.shape}")
-    n = Q.shape[0]
-    if getattr(A, "shape", None) != (n, n):
-        raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
-    gram = Q.T @ Q
-    gram.flat[::Q.shape[1] + 1] -= 1.0
-    drift = float(np.abs(gram).max())
-    if drift > 1e-8:
-        raise ContractError(
-            f"Q is not orthonormal: max |Q^T Q - I| = {drift:.3e} > 1e-8"
-        )
-    C = A @ Q
-    W = Q.T @ C
-    return C @ psd_inverse_sqrt(0.5 * (W + W.T))
 
 
 def psd_inverse_sqrt(W):
@@ -245,6 +295,8 @@ def psd_inverse_sqrt(W):
 def nystrom_eigs(F, d, deg, method="nystrom_projection"):
     """Approximate top-d eigenpairs of A ~= F F^T from the thin SVD of F.
 
+    F is the n-by-l factor, or project's factored form, a pair (Q, G) with
+    F = Q G and Q orthonormal, whose SVD is Q times that of the small G.
     Eigenvalues are the squared singular values (guaranteeing the diffusion
     spectrum stays nonnegative) and the left singular vectors, eigenvectors
     of A, give the Markov eigenvectors.  If the numerical rank of F
@@ -253,10 +305,14 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
     effective rank.  Returns a SpectralModel tagged ``method``, the sketch
     that built F: ``nystrom_projection`` or ``nystrom_columns``.
     """
+    Q = None
+    if isinstance(F, tuple):
+        Q, F = F
     F = np.asarray(F, dtype=float)
-    if F.ndim != 2:
+    if F.ndim != 2 or (Q is not None and Q.shape[1:] != F.shape[:1]):
         raise DimensionError(f"F must be a matrix, got shape {F.shape}")
-    n, l = F.shape
+    n = F.shape[0] if Q is None else Q.shape[0]
+    l = F.shape[1]
     if not 1 <= d <= l:
         raise ParameterError(f"need 1 <= d <= sketch size {l}, got d={d}")
     if n != deg.n:
@@ -275,5 +331,6 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    markov = recover_markov_eigvecs(U[:, :keep], deg)
+    U = U[:, :keep] if Q is None else Q @ U[:, :keep]
+    markov = recover_markov_eigvecs(U, deg)
     return SpectralModel(svals[:keep] ** 2, markov, deg, method)

@@ -29,7 +29,6 @@ from nydmap import (
     lorenz_derivative,
     markov_matrix,
     nystrom_eigs,
-    project,
     relative_embedding_error,
     run_experiment,
     subsample_rows,
@@ -66,9 +65,9 @@ def test_criterion_1_low_rank_exactness(acceptance_log):
         with warnings.catch_warnings():
             # l > rank(A), so the sketch rank collapses here
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            Q = gaussian_sketch_basis(A, n, l, q=0, seed=case)
-            F = project(A, Q)
-            model = nystrom_eigs(F, r, deg)
+            Q, G = gaussian_sketch_basis(A, n, l, q=0, seed=case)
+            model = nystrom_eigs((Q, G), r, deg)
+        F = Q @ G
         recon = np.linalg.norm(A - F @ F.T) / np.linalg.norm(A)
         dense_vals, _ = eigendecompose(A, r)
         eig_err = float((np.abs(model.eigenvalues - dense_vals) / dense_vals).max())
@@ -91,8 +90,7 @@ def test_criterion_2_spectrum_fidelity(acceptance_log):
     det_vals = det_model.eigenvalues
     worst = 0.0
     for seed in range(5):
-        Q = gaussian_sketch_basis(A, 2000, 60, q=2, seed=seed)
-        model = nystrom_eigs(project(A, Q), 50, deg)
+        model = nystrom_eigs(gaussian_sketch_basis(A, 2000, 60, q=2, seed=seed), 50, deg)
         rel = np.abs(model.eigenvalues[:25] - det_vals[:25]) / det_vals[:25]
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - start
@@ -110,8 +108,7 @@ def test_criterion_3_embedding_error_helix(acceptance_log):
     start = time.perf_counter()
     det_model, A, deg = _helix_pipeline()
     det_emb = diffusion_map(det_model, 1.0)
-    Q = gaussian_sketch_basis(A, 2000, 60, q=2, seed=0)
-    nys_model = nystrom_eigs(project(A, Q), 50, deg)
+    nys_model = nystrom_eigs(gaussian_sketch_basis(A, 2000, 60, q=2, seed=0), 50, deg)
     nys_emb = diffusion_map(nys_model, 1.0)
     err = relative_embedding_error(det_emb, nys_emb)
     elapsed = time.perf_counter() - start
@@ -135,8 +132,7 @@ def test_criterion_4_embedding_error_lorenz(acceptance_log):
     A = symmetric_matrix(K, deg)
     det_model = deterministic_model(K, deg, 100)
     det_emb = diffusion_map(det_model, 1.0)
-    Q = gaussian_sketch_basis(A, 3000, 110, q=2, seed=0)
-    nys_model = nystrom_eigs(project(A, Q), 100, deg)
+    nys_model = nystrom_eigs(gaussian_sketch_basis(A, 3000, 110, q=2, seed=0), 100, deg)
     nys_emb = diffusion_map(nys_model, 1.0)
     err = relative_embedding_error(det_emb, nys_emb)
     elapsed = time.perf_counter() - start

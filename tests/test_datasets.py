@@ -300,8 +300,8 @@ def test_save_csv_memory_does_not_grow_with_rows(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A fixed bound, a small fraction of the 91 MB written; formatting the
-    # whole matrix at once would take more than the file itself.
+    # A fixed bound, a small fraction of the 106.1 MB written; formatting
+    # the whole matrix at once would take more than the file itself.
     assert peak < 1024 * CSV_CHUNK_VALUES
     assert peak * 20 < path.stat().st_size
 

@@ -1,5 +1,6 @@
 import contextlib
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from nydmap import (
     symmetric_matrix,
 )
 from nydmap.kernel import DegreeVector
-from nydmap.nystrom import subspace_iteration
+from nydmap.nystrom import RANK_TOL
 from nydmap.spectral import SpectralModel
 
 
@@ -180,7 +181,9 @@ def test_projection_top_eigenpair_is_exact(copies):
 
 
 def test_sketch_basis_orthonormal_on_identity():
-    Q = gaussian_sketch_basis(np.eye(50), 50, 10, q=0, seed=0)
+    # I P_0 = P_0 leaves nothing to orthogonalise: the basis stops at its
+    # start block.
+    Q, _ = gaussian_sketch_basis(np.eye(50), 50, 10, q=0, seed=0)
     assert Q.shape == (50, 10)
     assert np.abs(Q.T @ Q - np.eye(10)).max() <= 1e-10
 
@@ -189,19 +192,20 @@ def test_sketch_basis_captures_exact_low_rank_range():
     for seed in range(5):
         A = _low_rank_psd(200, 8, seed)
         with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed"):
-            # l > rank(A): the sketch collapses, and Householder QR still
-            # returns 16 orthonormal columns spanning range(A).
-            Q = gaussian_sketch_basis(A, 200, 16, q=0, seed=seed)
-        assert np.abs(Q.T @ Q - np.eye(16)).max() <= 1e-10
+            # l > rank(A): the sketch collapses, and the basis is still
+            # orthonormal and spans range(A).
+            Q, _ = gaussian_sketch_basis(A, 200, 16, q=0, seed=seed)
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-10
         err = np.linalg.norm(A - Q @ (Q.T @ A)) / np.linalg.norm(A)
         assert err <= 1e-10
 
 
-def test_sketch_basis_of_zero_operator_is_orthonormal():
+def test_sketch_basis_of_zero_operator_is_degenerate():
+    # The basis stops at its orthonormal start block, which the operator
+    # maps to zero: the sketch captured nothing.
     with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed to 0 of 6"):
-        Q = gaussian_sketch_basis(np.zeros((40, 40)), 40, 6, q=1, seed=0)
-    assert Q.shape == (40, 6)
-    assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-12
+        with pytest.raises(DegeneracyError):
+            gaussian_sketch_basis(np.zeros((40, 40)), 40, 6, q=1, seed=0)
 
 
 def test_start_columns_of_many_decades_are_full_rank():
@@ -216,15 +220,52 @@ def test_start_columns_of_many_decades_are_full_rank():
     Z = rng.normal(size=(n, l)) * np.logspace(0, -15, l)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RankDeficiencyWarning)
-        Q = subspace_iteration(A, A @ Z, 2)
-    assert np.abs(Q.T @ Q - np.eye(l)).max() <= 1e-12
+        Q, _ = project(A, Z, A @ Z, 2)
+    assert Q.shape == (n, 4 * l)
+    assert np.abs(Q.T @ Q - np.eye(4 * l)).max() <= 1e-12
+
+
+def test_project_basis_holds_every_product():
+    # A Q = Q_+ B: every product the Krylov blocks make lies in the basis,
+    # so F = Q_+ G = A Q (Q^T A Q)^-1/2 and F F^T = A Q T^+ Q^T A.
+    _, A, _ = _diffusion_A(300, 13, sigma=0.5)
+    S = np.random.default_rng(14).normal(size=(300, 20))
+    Qp, G = project(A, S.copy(), A @ S, 2)
+    Q = Qp[:, :G.shape[1]]
+    assert Qp.shape == (300, 80) and G.shape == (80, 60)
+    assert np.abs(Qp.T @ Qp - np.eye(80)).max() <= 1e-12
+    norm = np.linalg.norm(A, 2)
+    assert np.linalg.norm(A @ Q - Qp @ (Qp.T @ (A @ Q)), 2) <= 1e-12 * norm
+    krylov = np.hstack((S, A @ S, A @ (A @ S)))
+    krylov /= np.linalg.norm(krylov, axis=0)
+    assert np.abs(krylov - Q @ (Q.T @ krylov)).max() <= 1e-10
+    T = Q.T @ A @ Q
+    M = psd_inverse_sqrt(0.5 * (T + T.T))
+    F = Qp @ G
+    assert np.abs(F @ F.T - A @ Q @ (M @ M) @ Q.T @ A).max() <= 1e-12
+
+
+def test_projection_memory_is_the_basis_and_one_multiply():
+    # The traced peak of a projection at q = 2 (l = 110) is the n-by-4l
+    # basis Q_+ and one multiply's buffers: its scaled operand, its
+    # result and a kernel block of 1.6 n*l floats here.  Keeping C = A Q,
+    # or forming F = Q_+ G and taking its SVD, holds 3 n*l more.
+    X = generate_helix(6000, noise_std=0.05, seed=1)
+    n_l = 6000 * 110 * 8
+    tracemalloc.start()
+    try:
+        decompose(X, 0.5, "nystrom_projection", 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n_l
 
 
 def test_sketch_basis_deterministic():
     _, A, _ = _diffusion_A(120, 5)
-    Q1 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
-    Q2 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
-    assert np.array_equal(Q1, Q2)
+    Q1, G1 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
+    Q2, G2 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
+    assert np.array_equal(Q1, Q2) and np.array_equal(G1, G2)
 
 
 def test_sketch_basis_validation():
@@ -244,41 +285,42 @@ def test_sketch_basis_validation():
 
 
 def test_project_coordinate_basis():
+    # At q = 0 on the first 12 coordinates, F F^T = A[:, J] A[J, J]^+ A[J, :].
     _, A, _ = _diffusion_A(60, 6)
-    Q = np.eye(60)[:, :12]
-    F = project(A, Q)
-    assert np.array_equal(F, A[:, :12] @ psd_inverse_sqrt(A[:12, :12]))
+    S = np.eye(60)[:, :12]
+    Q, G = project(A, S.copy(), A @ S, 0)
+    F = Q @ G
+    M = psd_inverse_sqrt(A[:12, :12])
+    assert np.abs(F @ F.T - A[:, :12] @ (M @ M) @ A[:12, :]).max() <= 1e-12
 
 
 def test_project_zero_operator():
-    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(30, 5)))[0]
-    with pytest.raises(DegeneracyError):
-        project(np.zeros((30, 30)), Q)
-
-
-def test_project_requires_orthonormal_basis():
-    _, A, _ = _diffusion_A(40, 7)
-    Q = np.linalg.qr(np.random.default_rng(1).normal(size=(40, 5)))[0]
-    with pytest.raises(ContractError):
-        project(A, 1.01 * Q)
+    S = np.random.default_rng(0).normal(size=(30, 5))
+    with pytest.warns(RankDeficiencyWarning), pytest.raises(DegeneracyError):
+        project(np.zeros((30, 30)), S, np.zeros((30, 5)), 1)
 
 
 def test_project_requires_square_operator():
     A = np.eye(20)
-    Q = np.eye(20)[:, :4]
+    S = np.eye(20)[:, :4]
     for bad in (object(), lambda B: A @ B, np.eye(21)):
         with pytest.raises(ParameterError):
-            project(bad, Q)
+            project(bad, S.copy(), S.copy(), 0)
+    with pytest.raises(DimensionError):
+        project(A, S.copy(), np.zeros((20, 3)), 0)
 
 
 def test_project_agrees_with_direct_pseudo_inverse_route():
-    # The SVD-of-F eigenpairs and the direct C W^+ C^T reconstruction are
-    # two routes to the same projected operator.
+    # At q = 0 the sketch is plain Nystrom on the Gaussian start block S,
+    # F F^T = A S (S^T A S)^+ S^T A to rounding, from one multiply.  The
+    # SVD-of-F eigenpairs and this direct reconstruction are two routes to
+    # the same projected operator.
     _, A, deg = _diffusion_A(200, 8)
-    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(200, 30)))[0]
-    F = project(A, Q)
-    C = A @ Q
-    W = Q.T @ C
+    Q, G = gaussian_sketch_basis(A, 200, 30, q=0, seed=3)
+    F = Q @ G
+    S = np.random.default_rng(3).standard_normal((200, 30))
+    C = A @ S
+    W = S.T @ C
     M = psd_inverse_sqrt(0.5 * (W + W.T))
     direct = C @ (M @ M) @ C.T
     assert np.abs(F @ F.T - direct).max() <= 1e-8
@@ -323,8 +365,7 @@ def test_nystrom_eigs_exact_on_low_rank():
         n, r = 250, 10
         A = _low_rank_psd(n, r, seed)
         with pytest.warns(RankDeficiencyWarning):
-            Q = gaussian_sketch_basis(A, n, r + 8, q=0, seed=seed)
-        F = project(A, Q)
+            F = gaussian_sketch_basis(A, n, r + 8, q=0, seed=seed)
         with pytest.warns(RankDeficiencyWarning):
             model = nystrom_eigs(F, r + 8, DegreeVector(np.ones(n)))
         dense_vals, _ = eigendecompose(A, r)
@@ -353,8 +394,7 @@ def test_nystrom_eigs_scaled_identity_complete():
 def test_nystrom_eigs_truncates_with_warning():
     A = _low_rank_psd(150, 3, 0)
     with pytest.warns(RankDeficiencyWarning):
-        Q = gaussian_sketch_basis(A, 150, 10, q=0, seed=0)
-    F = project(A, Q)
+        F = gaussian_sketch_basis(A, 150, 10, q=0, seed=0)
     with pytest.warns(RankDeficiencyWarning, match="effective rank"):
         model = nystrom_eigs(F, 8, DegreeVector(np.ones(150)))
     assert model.rank_d == 3
@@ -397,8 +437,7 @@ def test_nystrom_matches_deterministic_on_helix():
     deg = degree_vector(X, 0.5)
     A = symmetric_matrix(K, deg)
     det_vals, _ = eigendecompose(A, 12)
-    Q = gaussian_sketch_basis(A, 400, 22, q=2, seed=3)
-    model = nystrom_eigs(project(A, Q), 12, deg)
+    model = nystrom_eigs(gaussian_sketch_basis(A, 400, 22, q=2, seed=3), 12, deg)
     rel = np.abs(model.eigenvalues[:6] - det_vals[:6]) / det_vals[:6]
     assert rel.max() <= 1e-6
 
@@ -462,8 +501,8 @@ def test_more_power_iterations_do_not_hurt_on_average():
     for q in (0, 1, 2):
         errs = []
         for seed in range(20):
-            Q = gaussian_sketch_basis(A, 400, 12, q=q, seed=seed)
-            F = project(A, Q)
+            Q, G = gaussian_sketch_basis(A, 400, 12, q=q, seed=seed)
+            F = Q @ G
             errs.append(np.linalg.norm(A - F @ F.T) / np.linalg.norm(A))
         means.append(np.mean(errs))
     assert means[0] >= means[1] >= means[2]
@@ -490,20 +529,23 @@ def test_decompose_deterministic_matches_deterministic_model():
     assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
 
 
-def _nystrom_eigs_signs_first(F, d, deg, tol=1e-12, method="nystrom_projection"):
+def _nystrom_eigs_signs_first(F, d, deg, method="nystrom_projection"):
     # nystrom_eigs's former route, kept as the reference: it sign-fixed
-    # A's eigenvectors before recovering the Markov ones.
+    # A's eigenvectors before recovering the Markov ones.  A pair (Q, G) is
+    # the factor F = Q G with Q orthonormal.
+    Q, F = F if isinstance(F, tuple) else (None, F)
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
-    keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(tol))))
-    markov = recover_markov_eigvecs(fix_signs(U[:, :keep]), deg)
+    keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL))))
+    U = U[:, :keep] if Q is None else Q @ U[:, :keep]
+    markov = recover_markov_eigvecs(fix_signs(U), deg)
     return SpectralModel(svals[:keep] ** 2, markov, deg, method)
 
 
 def test_markov_vectors_match_sign_fixed_route(monkeypatch):
     X, A, deg = _diffusion_A(300, 12, sigma=0.5)
-    Q = gaussian_sketch_basis(A, 300, 25, q=1, seed=1)
+    F = gaussian_sketch_basis(A, 300, 25, q=1, seed=1)
     col_F, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
-    sketches = ((project(A, Q), deg, "nystrom_projection"), (col_F, col_deg, "nystrom_columns"))
+    sketches = ((F, deg, "nystrom_projection"), (col_F, col_deg, "nystrom_columns"))
     for F, dv, method in sketches:
         model = nystrom_eigs(F, 15, dv, method=method)
         expected = _nystrom_eigs_signs_first(F, 15, dv, method=method)

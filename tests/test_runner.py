@@ -311,13 +311,13 @@ def _half_pass_entries(n):
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_decompose_projection_kernel_entries(kernel_entries, block_rows, q):
-    # 2q half-pass multiplies, the first by K itself, and C = AQ makes one
-    # more.
+    # q + 1 half-pass multiplies, the first by K itself: one per Krylov
+    # block.
     n, l = 300, 20
     X = generate_helix(n, noise_std=0.05, seed=1)
     block_rows(64, n)
     decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=q)
-    assert sum(kernel_entries) == (2 * q + 1) * _half_pass_entries(n)
+    assert sum(kernel_entries) == (q + 1) * _half_pass_entries(n)
 
 
 def test_decompose_projection_without_power_iterations(kernel_entries, block_rows):
@@ -325,7 +325,7 @@ def test_decompose_projection_without_power_iterations(kernel_entries, block_row
     X = generate_helix(n, noise_std=0.05, seed=1)
     block_rows(64, n)
     model = decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=0)
-    assert sum(kernel_entries) == 2 * _half_pass_entries(n)
+    assert sum(kernel_entries) == _half_pass_entries(n)
     assert model.rank_d == 10
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(model.eigenvalues) <= 0.0)

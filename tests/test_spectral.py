@@ -23,7 +23,7 @@ from nydmap import (
     recover_markov_eigvecs,
     symmetric_matrix,
 )
-from nydmap import kernel
+from nydmap import kernel, spectral
 from nydmap.kernel import DegreeVector
 from nydmap.spectral import DiffusionOperator, SpectralModel, max_asymmetry
 
@@ -424,3 +424,51 @@ def test_diffusion_operator_validation():
         op.matmat(np.ones((49, 2)))
     with pytest.raises(ParameterError):
         DiffusionOperator(X, -1.0, deg)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_matmat_transposed_products_use_a_small_scratch(monkeypatch):
+    # The transposed products go through a scratch of at most
+    # MATMAT_CHUNK_ENTRIES: past the kernel block, the multiply holds its
+    # scaled operand and its result, where it held a third n-by-k buffer.
+    n = 6000
+    X = DataMatrix(np.random.default_rng(16).normal(size=(n, 3)))
+    op = DiffusionOperator(X, 0.5, degree_vector(X, 0.5))
+    B = np.random.default_rng(17).normal(size=(n, 110))
+    out, peak = _traced_peak(lambda: op.matmat(B))
+    assert out.shape == B.shape
+    assert peak < kernel.BLOCK_ENTRIES * 8 + 2 * B.nbytes + (1 << 20)
+    # Chunks of five rows give the dense product to rounding.
+    X, K, deg = _diffusion_parts(137, 3, 9)
+    B = np.random.default_rng(10).normal(size=(137, 4))
+    monkeypatch.setattr(spectral, "MATMAT_CHUNK_ENTRIES", 5 * 4)
+    dense = symmetric_matrix(K, deg) @ B
+    got = DiffusionOperator(X, 0.8, deg) @ B
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_unit_degree_multiply_skips_both_scalings():
+    # With unit degrees the multiply is by K and scales nothing.  x * 1.0
+    # == x, so its bits are those of the scaled route, which degrees of 4
+    # scale exactly: (K (B / 2)) / 2 = K B / 4.
+    X, _, _ = _diffusion_parts(300, 3, 11)
+    B = np.random.default_rng(12).normal(size=(300, 7))
+    unit = DiffusionOperator(X, 0.8, DegreeVector(np.ones(300))) @ B
+    four = DiffusionOperator(X, 0.8, DegreeVector(np.full(300, 4.0))) @ B
+    assert np.array_equal(unit, 4.0 * four)
+    # No scaled copy of the operand: past the kernel block, only the result.
+    n = 6000
+    X = DataMatrix(np.random.default_rng(16).normal(size=(n, 3)))
+    op = DiffusionOperator(X, 0.5, DegreeVector(np.ones(n)))
+    B = np.random.default_rng(17).normal(size=(n, 110))
+    _, peak = _traced_peak(lambda: op.matmat(B))
+    assert peak < kernel.BLOCK_ENTRIES * 8 + B.nbytes + (1 << 20)
