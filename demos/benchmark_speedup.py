@@ -1,8 +1,9 @@
 """Benchmark the deterministic solver against both Nystrom strategies.
 
 Runs the same comparison the ``nydmap compare`` subcommand performs:
-one shared kernel, one deterministic reference decomposition, then each
-Nystrom strategy on identical inputs.  Equivalent CLI:
+one deterministic reference decomposition, then each Nystrom strategy on
+the same points, each run exactly as ``nydmap run`` runs it (the
+projection multiplies by the matrix-free operator).  Equivalent CLI:
 
     nydmap compare --dataset helix --n 3000 --rank 60 --out results/benchmark_demo
 """

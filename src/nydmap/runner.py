@@ -5,8 +5,9 @@ the library, ``run_experiment`` and ``compare_methods`` all call it.
 ``run_experiment`` executes one pipeline (dataset, kernel/degrees,
 decomposition, embedding) and writes a JSON report plus the embedding CSV.
 ``compare_methods`` runs the deterministic path as reference and both
-Nystrom methods on the same data, reporting per-method speedups and
-relative embedding errors in the shape of a benchmark table row.
+Nystrom methods on the same data, each through ``decompose`` as ``run``
+runs it, reporting per-method speedups and relative embedding errors in
+the shape of a benchmark table row.
 
 The CLI exposes both as subcommands; see the README for flag semantics.
 Exit codes: 0 success, 2 bad configuration or input, 3 numeric failure.
@@ -232,35 +233,20 @@ def _sketch_size(n, d, oversampling):
     return l
 
 
-def _dense_operator(X, sigma, run):
-    """Materialized A and its exact degrees, timed through ``run``.
-
-    The exact solve's scipy import is paid first, outside every stage, so
-    the stage times (and compare's speedups) measure arithmetic alone.
-    """
-    load_exact_solver()
-    K, _ = run("kernel", lambda: gaussian_kernel_matrix(X, sigma))
-    # Row sums of the materialized kernel match the streamed degree_vector
-    # bitwise (same per-row reduction).
-    deg, _ = run("degrees", lambda: DegreeVector(K.sum(axis=1)))
-    A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
-    return A, deg
-
-
 def decompose(
-    X, sigma, method, d, oversampling=10, power_iterations=2, seed=0,
-    A=None, deg=None, clock=None,
+    X, sigma, method, d, oversampling=10, power_iterations=2, seed=0, clock=None
 ):
     """Top-d eigenpairs of X's diffusion operator by one of spectral.METHODS.
 
     The keywords are ExperimentConfig's field names.  ``deterministic``
     materializes the kernel, takes its row sums as the degrees and solves
-    exactly.  ``nystrom_projection`` starts from an n-by-l Gaussian block
-    Z, l = d + oversampling, drawn from ``seed``, whose first column is
-    ones: A's top eigenvector is D^1/2 1, so the sketch holds it exactly.
-    Its first product is K Z, one multiply by a DiffusionOperator with
-    unit degrees (about half a kernel pass, timed as the degrees stage):
-    the ones column K 1 gives the degrees, equal to the exact row sums to
+    exactly; the n-by-n operator is freed when the call returns.
+    ``nystrom_projection`` starts from an n-by-l Gaussian block Z,
+    l = d + oversampling, drawn from ``seed``, whose first column is ones:
+    A's top eigenvector is D^1/2 1, so the sketch holds it exactly.  Its
+    first product is K Z, one multiply by a DiffusionOperator with unit
+    degrees (about half a kernel pass, timed as the degrees stage): the
+    ones column K 1 gives the degrees, equal to the exact row sums to
     rounding, and D^-1/2 K Z = A S with S = D^1/2 Z.  project continues
     the block Krylov basis of S on a matrix-free DiffusionOperator for
     ``power_iterations`` blocks after the start, one multiply each, q + 1
@@ -268,15 +254,8 @@ def decompose(
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
     the degrees from its factor (see sample_columns).  d, oversampling,
     power_iterations, seed and the sketch size are checked before any
-    kernel entry is evaluated.
-
-    A materialized symmetric operator ``A`` and its degrees ``deg`` replace
-    the exact solve's kernel and degrees and the projection's multiply by K
-    (compare_methods shares one between the two, and the projection's first
-    product is then A @ (D^1/2 Z)); each without the other is a
-    ParameterError, either not sized to X a DimensionError.  Column
-    sampling ignores both.  A ``clock`` (a _StageClock) times the kernel,
-    degrees and decomposition stages and raises a failure as a
+    kernel entry is evaluated.  A ``clock`` (a _StageClock) times the
+    kernel, degrees and decomposition stages and raises a failure as a
     StageFailure naming its stage.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
@@ -287,19 +266,21 @@ def decompose(
         raise ParameterError(f"power_iterations must be >= 0, got {power_iterations}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    if A is not None and deg is None:
-        raise ParameterError("a materialized operator A needs its degrees deg")
-    if deg is not None and A is None:
-        raise ParameterError("degrees deg are taken only with their materialized operator A")
-    if A is not None and (A.shape != (X.n, X.n) or deg.n != X.n):
-        raise DimensionError(f"A {A.shape} and deg ({deg.n},) must match n={X.n}")
     if not 1 <= d <= X.n:
         raise ParameterError(f"need 1 <= d <= n={X.n}, got d={d}")
     if method != "deterministic":
         l = _sketch_size(X.n, d, oversampling)
     run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
-    if method == "deterministic" and A is None:
-        A, deg = _dense_operator(X, sigma, run)
+    if method == "deterministic":
+        # The exact solve's scipy import is paid first, outside every
+        # stage, so the stage times (and compare's speedups) measure
+        # arithmetic alone.
+        load_exact_solver()
+        K, _ = run("kernel", lambda: gaussian_kernel_matrix(X, sigma))
+        # Row sums of the materialized kernel match the streamed
+        # degree_vector bitwise (same per-row reduction).
+        deg, _ = run("degrees", lambda: DegreeVector(K.sum(axis=1)))
+        A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
     elif method == "nystrom_projection":
 
         def start():
@@ -307,22 +288,16 @@ def decompose(
             Z[:, 0] = 1.0
             return Z
 
+        def first_product():
+            # A multiply by K itself; Z's ones column gives K 1, the
+            # degrees, copied out before Y = D^-1/2 K Z is formed in place.
+            KZ = DiffusionOperator(X, sigma, DegreeVector(np.ones(X.n))) @ Z
+            return DegreeVector(KZ[:, 0].copy()), KZ
+
         Z, _ = run("decomposition", start)
-        if A is None:
-
-            def first_product():
-                # A multiply by K itself; Z's ones column gives K 1, the
-                # degrees, copied out before Y = D^-1/2 K Z is formed in place.
-                KZ = DiffusionOperator(X, sigma, DegreeVector(np.ones(X.n))) @ Z
-                return DegreeVector(KZ[:, 0].copy()), KZ
-
-            (deg, Y), _ = run("degrees", first_product)
-            Y /= np.sqrt(deg.values)[:, None]
-            A = DiffusionOperator(X, sigma, deg)
-            Z *= np.sqrt(deg.values)[:, None]
-        else:
-            Z *= np.sqrt(deg.values)[:, None]
-            Y, _ = run("decomposition", lambda: A @ Z)
+        (deg, Y), _ = run("degrees", first_product)
+        Y /= np.sqrt(deg.values)[:, None]
+        Z *= np.sqrt(deg.values)[:, None]
         # S = D^1/2 Z and Y = A S are popped into project's call, S first,
         # so that it holds the only references and frees both after its
         # first block (11 MB of peak RSS at n = 6000, l = 110).
@@ -331,7 +306,10 @@ def decompose(
         factor, _ = run(
             "decomposition",
             lambda: project(
-                A, start_and_product.pop(), start_and_product.pop(), power_iterations
+                DiffusionOperator(X, sigma, deg),
+                start_and_product.pop(),
+                start_and_product.pop(),
+                power_iterations,
             ),
         )
 
@@ -441,13 +419,14 @@ def run_experiment(config):
 def compare_methods(config):
     """Benchmark the deterministic path against both Nystrom methods.
 
-    All methods share the same dataset, kernel and degrees.  The symmetric
-    operator is materialized once; the deterministic solver and the
-    projection sketch both consume it, so the decomposition timings compare
-    arithmetic, not memory strategy.  Column sampling fetches its pivot
-    columns and takes its degrees from its factor exactly as it would
-    standalone; ``comparison["nystrom_columns"]["degree_rel_err"]`` is the
-    largest relative error of those degrees against the exact ones.
+    Every method runs on the same dataset through ``decompose``, exactly as
+    ``run`` runs it: the exact reference materializes its kernel and
+    degrees, which are freed once it is solved, the projection sketch
+    multiplies by the matrix-free operator, and column sampling fetches its
+    pivot columns and takes its degrees from its factor.  The speedups
+    therefore compare the strategies users run, memory strategy included.
+    ``comparison["nystrom_columns"]["degree_rel_err"]`` is the largest
+    relative error of the column sketch's degrees against the exact ones.
 
     The report's top-level fields describe the deterministic reference;
     ``comparison[method]`` holds timings, speedups, eigenvalues and the
@@ -457,16 +436,17 @@ def compare_methods(config):
     def body(X, clock, settings):
         # The sketches must fit before the exact solve spends a kernel pass.
         _sketch_size(X.n, config.d, config.oversampling)
-        A, deg = _dense_operator(X, config.sigma, clock.run)
         comparison, spectra, embeddings = {}, {}, {}
         for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
             # The reference fills the standard stages; each sketch is
             # timed, decomposition and embedding, under its own name.
             exact = method == "deterministic"
-            model, decomp_time = clock.run(
-                "decomposition" if exact else method,
-                lambda m=method: decompose(X, method=m, A=A, deg=deg, **settings),
-            )
+            if exact:
+                model = decompose(X, method=method, clock=clock, **settings)
+            else:
+                model, decomp_time = clock.run(
+                    method, lambda m=method: decompose(X, method=m, **settings)
+                )
             emb, embed_time = clock.run(
                 "embedding" if exact else method, lambda m=model: _embed(config, m)
             )
@@ -474,16 +454,16 @@ def compare_methods(config):
             embeddings[f"embedding_{method}.csv"] = emb
             if exact:
                 det_model, det_emb = model, emb
-                shared = clock.times["kernel"] + clock.times["degrees"]
                 det_decomp = clock.times["decomposition"]
-                det_pipeline = shared + det_decomp + embed_time
+                det_pipeline = (
+                    clock.times["kernel"] + clock.times["degrees"] + det_decomp + embed_time
+                )
                 continue
             comparison[method] = {
                 "decomposition_seconds": decomp_time,
                 "embedding_seconds": embed_time,
                 "speedup_decomposition": det_decomp / max(decomp_time, 1e-12),
-                "speedup_pipeline": det_pipeline
-                / max(shared + decomp_time + embed_time, 1e-12),
+                "speedup_pipeline": det_pipeline / max(decomp_time + embed_time, 1e-12),
                 "relative_error": relative_embedding_error(
                     det_emb, _zero_padded(emb, det_emb.d)
                 ),
@@ -491,8 +471,9 @@ def compare_methods(config):
                 "eigenvalues": [float(v) for v in model.eigenvalues],
             }
             if method == "nystrom_columns":
+                exact_deg = det_model.degrees.values
                 comparison[method]["degree_rel_err"] = float(
-                    np.max(np.abs(model.degrees.values - deg.values) / deg.values)
+                    np.max(np.abs(model.degrees.values - exact_deg) / exact_deg)
                 )
         return det_model, embeddings, comparison, spectra
 

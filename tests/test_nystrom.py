@@ -422,9 +422,9 @@ def test_nystrom_eigs_validation():
 
 
 def test_nystrom_diffusion_eigenvalue_bounds():
-    X, A, deg = _diffusion_A(300, 9, sigma=0.5)
+    X, _, _ = _diffusion_A(300, 9, sigma=0.5)
     for method in ("nystrom_projection", "nystrom_columns"):
-        model = decompose(X, 0.5, method, 20, oversampling=10, seed=2, A=A, deg=deg)
+        model = decompose(X, 0.5, method, 20, oversampling=10, seed=2)
         assert model.method == method
         assert model.eigenvalues.min() >= -1e-8
         assert model.eigenvalues.max() <= 1.0 + 1e-8
@@ -509,10 +509,10 @@ def test_more_power_iterations_do_not_hurt_on_average():
 
 
 def test_nystrom_model_bitwise_deterministic():
-    X, A, deg = _diffusion_A(200, 11, sigma=0.5)
+    X, _, _ = _diffusion_A(200, 11, sigma=0.5)
     for method in ("nystrom_projection", "nystrom_columns"):
-        a = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
-        b = decompose(X, 0.5, method, 15, oversampling=5, seed=7, A=A, deg=deg)
+        a = decompose(X, 0.5, method, 15, oversampling=5, seed=7)
+        b = decompose(X, 0.5, method, 15, oversampling=5, seed=7)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors_markov, b.eigenvectors_markov)
         assert a.method == b.method and a.rank_d == b.rank_d
@@ -551,16 +551,11 @@ def test_markov_vectors_match_sign_fixed_route(monkeypatch):
         expected = _nystrom_eigs_signs_first(F, 15, dv, method=method)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
-    calls = [
-        ("nystrom_projection", {}),
-        ("nystrom_projection", {"A": A, "deg": deg}),
-        ("nystrom_columns", {}),
-    ]
-    for method, operator in calls:
-        model = decompose(X, 0.5, method, 15, seed=1, **operator)
+    for method in ("nystrom_projection", "nystrom_columns"):
+        model = decompose(X, 0.5, method, 15, seed=1)
         with monkeypatch.context() as patch:
             patch.setattr(runner, "nystrom_eigs", _nystrom_eigs_signs_first)
-            expected = decompose(X, 0.5, method, 15, seed=1, **operator)
+            expected = decompose(X, 0.5, method, 15, seed=1)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -14,7 +15,6 @@ import pytest
 from nydmap import (
     DataFormatError,
     DataMatrix,
-    DimensionError,
     ExperimentConfig,
     ExperimentReport,
     ParameterError,
@@ -22,22 +22,18 @@ from nydmap import (
     decompose,
     degree_vector,
     diffusion_map,
-    gaussian_kernel_matrix,
     generate_helix,
     kmeans_cluster,
     load_config_file,
     load_csv,
     load_report,
-    relative_embedding_error,
     run_experiment,
     save_csv,
-    symmetric_matrix,
 )
 from nydmap import kernel
-from nydmap.kernel import DegreeVector
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
-from nydmap.runner import _config_from_args, _config_lines, build_parser, main
+from nydmap.runner import _SETTINGS, _config_from_args, _config_lines, build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering", "output")
@@ -239,8 +235,6 @@ def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries)
         decompose(X, 0.5, "exact", 5)
     with pytest.raises(ParameterError, match="exceeds n = 200"):
         decompose(X, 0.5, "nystrom_columns", 150, oversampling=51)
-    with pytest.raises(ParameterError, match="needs its degrees"):
-        decompose(X, 0.5, "deterministic", 5, A=np.eye(200))
     for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
         for d in (0, 201):
             with pytest.raises(ParameterError, match=r"need 1 <= d <= n=200"):
@@ -267,44 +261,6 @@ def test_decompose_rejects_negative_seed(kernel_entries):
     assert kernel_entries == []
 
 
-def test_decompose_rejects_operator_of_another_size(kernel_entries):
-    X = generate_helix(300, noise_std=0.05, seed=0)
-    small, small_deg = np.eye(200), DegreeVector(np.ones(200))
-    pairs = [(small, small_deg), (np.eye(300), small_deg), (small, DegreeVector(np.ones(300)))]
-    for method in ("deterministic", "nystrom_projection"):
-        for A, deg in pairs:
-            with pytest.raises(DimensionError, match="must match n=300"):
-                decompose(X, 0.5, method, 10, A=A, deg=deg)
-    assert kernel_entries == []
-
-
-def test_decompose_rejects_degrees_without_operator(kernel_entries):
-    # The first product also gives the degrees, so degrees alone would
-    # spare no kernel entry.
-    X = generate_helix(200, noise_std=0.05, seed=0)
-    deg = degree_vector(X, 0.5)
-    kernel_entries.clear()
-    for method in METHODS:
-        with pytest.raises(ParameterError, match="only with their materialized operator"):
-            decompose(X, 0.5, method, 10, deg=deg)
-    assert kernel_entries == []
-
-
-def test_decompose_projection_matrix_free_matches_materialized():
-    # The matrix-free route, whose degrees are its first product's ones
-    # column, and the product by a materialized A (compare's route) differ
-    # only in rounding.
-    X = generate_helix(300, noise_std=0.05, seed=1)
-    deg = degree_vector(X, 0.5)
-    A = symmetric_matrix(gaussian_kernel_matrix(X, 0.5), deg)
-    free = decompose(X, 0.5, "nystrom_projection", 10)
-    dense = decompose(X, 0.5, "nystrom_projection", 10, A=A, deg=deg)
-    assert np.max(np.abs(free.degrees.values - deg.values) / deg.values) <= 1e-14
-    assert np.abs(free.eigenvalues - dense.eigenvalues).max() <= 1e-10
-    err = relative_embedding_error(diffusion_map(dense, 1.0), diffusion_map(free, 1.0))
-    assert err < 1e-8
-
-
 def _half_pass_entries(n):
     return sum((i1 - i0) * (n - i0) for i0, i1 in kernel.row_blocks(n, n))
 
@@ -326,11 +282,53 @@ def test_decompose_projection_without_power_iterations(kernel_entries, block_row
     block_rows(64, n)
     model = decompose(X, 0.5, "nystrom_projection", 10, oversampling=l - 10, power_iterations=0)
     assert sum(kernel_entries) == _half_pass_entries(n)
+    # The degrees are the first product's ones column, K 1: the exact row
+    # sums to rounding.
+    deg = degree_vector(X, 0.5)
+    assert np.max(np.abs(model.degrees.values - deg.values) / deg.values) <= 1e-14
     assert model.rank_d == 10
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(model.eigenvalues) <= 0.0)
     assert model.eigenvalues[-1] >= 0.0
     assert np.all(np.isfinite(model.eigenvectors_markov))
+
+
+def test_decompose_keywords_are_the_config_settings():
+    # decompose takes the data, the method, a clock and ExperimentConfig's
+    # settings under their field names and defaults; nothing else.
+    params = inspect.signature(decompose).parameters
+    assert set(params) == {"X", "method", "clock", *_SETTINGS}
+    assert set(_SETTINGS) <= {f.name for f in fields(ExperimentConfig)}
+    for name in _SETTINGS:
+        if params[name].default is not inspect.Parameter.empty:
+            assert params[name].default == getattr(ExperimentConfig, name)
+
+
+def test_compare_runs_each_sketch_as_run_does(tmp_path, kernel_entries):
+    # compare reaches every method through decompose alone: its projection
+    # multiplies by the matrix-free operator, as run does, so it gives the
+    # standalone spectrum bitwise and evaluates the same kernel entries.
+    config = _cfg(tmp_path, n=400)
+    X = generate_helix(config.n, config.noise_std, config.seed)
+    settings = {name: getattr(config, name) for name in _SETTINGS}
+    entries, models = {}, {}
+    for method in METHODS:
+        kernel_entries.clear()
+        models[method] = decompose(X, method=method, **settings)
+        entries[method] = sum(kernel_entries)
+    assert entries["deterministic"] == _half_pass_entries(config.n)
+    assert entries["nystrom_projection"] == (
+        (config.power_iterations + 1) * _half_pass_entries(config.n)
+    )
+    assert entries["nystrom_columns"] > 0
+    kernel_entries.clear()
+    report = compare_methods(config)
+    assert sum(kernel_entries) == sum(entries.values())
+    for method in ("nystrom_projection", "nystrom_columns"):
+        assert report.comparison[method]["eigenvalues"] == [
+            float(v) for v in models[method].eigenvalues
+        ]
+    assert report.eigenvalues == [float(v) for v in models["deterministic"].eigenvalues]
 
 
 def test_compare_structure(tmp_path):
