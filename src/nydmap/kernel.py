@@ -25,9 +25,10 @@ against 0.121 untiled.  Each entry goes through the same operations in
 the same order whatever the block and tile shapes, so the kernel's bitwise
 contracts (exact symmetry, unit diagonal, block-size invariance, columns
 equal to the matrix's columns, degrees equal to its row sums) hold by
-construction.  The projection sketch takes its degrees instead from the
-ones column of its first multiply by K (spectral.DiffusionOperator), whose
-strip sums agree with these to rounding.
+construction.  The projection sketch (nystrom.gaussian_sketch_basis)
+takes its degrees instead from the ones column of its Gaussian start
+block's first multiply by K (spectral.DiffusionOperator), whose strip
+sums agree with these to rounding.
 """
 
 from dataclasses import dataclass

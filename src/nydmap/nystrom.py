@@ -8,14 +8,12 @@ Both sketches reduce A ~= C W^+ C^T to one factor F with A ~= F F^T:
   eigendecomposition of its small pivot block; the degrees are taken from
   the factor, deg ~= F_K (F_K^T 1), and F = D^-1/2 F_K, so no step
   touches all n^2 kernel entries;
-* random projection (project): a block Krylov basis Q = [P_0 ... P_q]
-  of A from a start block S keeps every product A P_k, and with the next
-  block it spans them all, A Q = Q_+ B, so F = A Q (Q^T A Q)^-1/2 =
-  Q_+ G comes from q + 1 multiplies and is kept factored, G small.
-  gaussian_sketch_basis starts it from Gaussian noise;
-  ``runner.decompose`` starts it from Gaussian noise with a ones first
-  column, and the ones column of its first product, K Z, gives the
-  degrees.
+* random projection (gaussian_sketch_basis): a block Krylov basis
+  Q = [P_0 ... P_q] of A from a Gaussian start block with a ones first
+  column keeps every product A P_k (project), and with the next block it
+  spans them all, A Q = Q_+ B, so F = A Q (Q^T A Q)^-1/2 = Q_+ G comes
+  from q + 1 matrix-free multiplies and is kept factored, G small; the
+  ones column of the first product, K Z, gives the degrees.
 
 Eigenpairs are recovered from the thin SVD of F (of G, for the factored
 form): the squared singular values approximate the eigenvalues of A and
@@ -36,7 +34,12 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .kernel import DegreeVector
-from .spectral import SYMMETRY_TOL, SpectralModel, recover_markov_eigvecs
+from .spectral import (
+    SYMMETRY_TOL,
+    DiffusionOperator,
+    SpectralModel,
+    recover_markov_eigvecs,
+)
 
 # The pivoted Cholesky column sampler draws its l pivots in about this
 # many rounds of ceil(l / PIVOT_ROUNDS).  Its first round is a uniform draw
@@ -134,27 +137,49 @@ def sample_columns(kernel_columns, n, l, seed):
     return F, DegreeVector(deg), np.array(J)
 
 
-def gaussian_sketch_basis(A, n, l, q, seed):
-    """Projection sketch of a symmetric operator from a Gaussian start.
+def gaussian_sketch_basis(X, sigma, l, q, seed):
+    """Projection sketch of X's diffusion operator A = D^-1/2 K D^-1/2.
 
-    ``A`` is an n-by-n ndarray or DiffusionOperator; only the products
-    ``A @ block`` are used.  Draws an n-by-l standard normal start block
-    Omega from ``seed`` and returns project(A, Omega, A @ Omega, q): the
-    block Krylov Nystrom factor on span{Omega, A Omega, ..., A^q Omega},
-    from q + 1 multiplies.
+    Draws an n-by-l standard normal start block Z from ``seed`` and sets
+    its first column to ones: A's top eigenvector is D^1/2 1, so the
+    sketch holds it exactly.  The first product is K Z, one multiply by a
+    DiffusionOperator with unit degrees (about half a kernel pass): its
+    ones column K 1 gives the degrees, equal to the exact row sums to
+    rounding, and D^-1/2 K Z = A S with S = D^1/2 Z.  project continues
+    the block Krylov basis of S on a matrix-free DiffusionOperator for q
+    blocks after the start, one multiply each, q + 1 in all with the
+    first; at q = 0 the sketch is plain Nystrom on S.  l and q are checked
+    before any kernel entry is evaluated.
 
     Returns
     -------
-    (Q, G) : the factored form of F = Q G, A ~= F F^T (see project).
+    ((Q, G), DegreeVector): the factored form of F = Q G, A ~= F F^T (see
+    project), and the degrees taken from the first product.
     """
-    if not 1 <= l <= n:
-        raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
+    if not 1 <= l <= X.n:
+        raise ParameterError(f"need 1 <= l <= n={X.n}, got l={l}")
     if q < 0:
         raise ParameterError(f"power iteration count must be >= 0, got {q}")
-    if getattr(A, "shape", None) != (n, n):
-        raise ParameterError(f"A must be an n-by-n ndarray or DiffusionOperator, n={n}")
-    omega = np.random.default_rng(seed).standard_normal((n, l))
-    return project(A, omega, A @ omega, q)
+    Z = np.random.default_rng(seed).standard_normal((X.n, l))
+    Z[:, 0] = 1.0
+    # A multiply by K itself; Z's ones column gives K 1, the degrees,
+    # copied out before Y = D^-1/2 K Z is formed in place.
+    Y = DiffusionOperator(X, sigma, DegreeVector(np.ones(X.n))) @ Z
+    deg = DegreeVector(Y[:, 0].copy())
+    Y /= np.sqrt(deg.values)[:, None]
+    Z *= np.sqrt(deg.values)[:, None]
+    # S = D^1/2 Z and Y = A S are popped into project's call, S first, so
+    # that it holds the only references and frees both after its first
+    # block (11 MB of peak RSS at n = 6000, l = 110).
+    start_and_product = [Y, Z]
+    del Z, Y
+    factor = project(
+        DiffusionOperator(X, sigma, deg),
+        start_and_product.pop(),
+        start_and_product.pop(),
+        q,
+    )
+    return factor, deg
 
 
 def project(A, S, Y, q):

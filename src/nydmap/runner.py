@@ -57,14 +57,13 @@ from .kernel import (
     gaussian_kernel_matrix,
 )
 from .nystrom import (
-    gaussian_sketch_basis,  # not called here: perfbench's tracer wraps this site
+    gaussian_sketch_basis,
     nystrom_eigs,
-    project,
+    project,  # not called here: perfbench's tracer wraps this site
     sample_columns,
 )
 from .spectral import (
     METHODS,
-    DiffusionOperator,
     SpectralModel,
     deterministic_model,  # not called here: perfbench's tracer wraps this site
     eigendecompose,
@@ -241,18 +240,12 @@ def decompose(
     The keywords are ExperimentConfig's field names.  ``deterministic``
     materializes the kernel, takes its row sums as the degrees and solves
     exactly; the n-by-n operator is freed when the call returns.
-    ``nystrom_projection`` starts from an n-by-l Gaussian block Z,
-    l = d + oversampling, drawn from ``seed``, whose first column is ones:
-    A's top eigenvector is D^1/2 1, so the sketch holds it exactly.  Its
-    first product is K Z, one multiply by a DiffusionOperator with unit
-    degrees (about half a kernel pass, timed as the degrees stage): the
-    ones column K 1 gives the degrees, equal to the exact row sums to
-    rounding, and D^-1/2 K Z = A S with S = D^1/2 Z.  project continues
-    the block Krylov basis of S on a matrix-free DiffusionOperator for
-    ``power_iterations`` blocks after the start, one multiply each, q + 1
-    in all with the first; at q = 0 the sketch is plain Nystrom on S.
+    ``nystrom_projection`` is gaussian_sketch_basis with l = d +
+    oversampling and q = ``power_iterations``: q + 1 matrix-free
+    multiplies, the first of which gives the degrees.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
-    the degrees from its factor (see sample_columns).  d, oversampling,
+    the degrees from its factor (see sample_columns).  Both sketches take
+    their degrees inside the decomposition stage.  d, oversampling,
     power_iterations, seed and the sketch size are checked before any
     kernel entry is evaluated.  A ``clock`` (a _StageClock) times the
     kernel, degrees and decomposition stages and raises a failure as a
@@ -281,37 +274,6 @@ def decompose(
         # degree_vector bitwise (same per-row reduction).
         deg, _ = run("degrees", lambda: DegreeVector(K.sum(axis=1)))
         A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
-    elif method == "nystrom_projection":
-
-        def start():
-            Z = np.random.default_rng(seed).standard_normal((X.n, l))
-            Z[:, 0] = 1.0
-            return Z
-
-        def first_product():
-            # A multiply by K itself; Z's ones column gives K 1, the
-            # degrees, copied out before Y = D^-1/2 K Z is formed in place.
-            KZ = DiffusionOperator(X, sigma, DegreeVector(np.ones(X.n))) @ Z
-            return DegreeVector(KZ[:, 0].copy()), KZ
-
-        Z, _ = run("decomposition", start)
-        (deg, Y), _ = run("degrees", first_product)
-        Y /= np.sqrt(deg.values)[:, None]
-        Z *= np.sqrt(deg.values)[:, None]
-        # S = D^1/2 Z and Y = A S are popped into project's call, S first,
-        # so that it holds the only references and frees both after its
-        # first block (11 MB of peak RSS at n = 6000, l = 110).
-        start_and_product = [Y, Z]
-        del Z, Y
-        factor, _ = run(
-            "decomposition",
-            lambda: project(
-                DiffusionOperator(X, sigma, deg),
-                start_and_product.pop(),
-                start_and_product.pop(),
-                power_iterations,
-            ),
-        )
 
     def solve():
         if method == "deterministic":
@@ -319,9 +281,10 @@ def decompose(
             return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
         if method == "nystrom_columns":
             columns = functools.partial(gaussian_kernel_columns, X, sigma)
-            F, col_deg, _ = sample_columns(columns, X.n, l, seed)
-            return nystrom_eigs(F, d, col_deg, method=method)
-        return nystrom_eigs(factor, d, deg)
+            F, sketch_deg, _ = sample_columns(columns, X.n, l, seed)
+        else:
+            F, sketch_deg = gaussian_sketch_basis(X, sigma, l, power_iterations, seed)
+        return nystrom_eigs(F, d, sketch_deg, method=method)
 
     return run("decomposition", solve)[0]
 
@@ -404,8 +367,9 @@ def run_experiment(config):
     Returns the ExperimentReport; the same report is written to
     ``output_dir/report.json`` next to ``embedding.csv`` and a reloadable
     ``config.txt``.  On failure, files written by this run are removed.
-    Column sampling takes its degrees from its factor, so its degrees
-    stage reads 0.0; only the deterministic method fills the kernel stage.
+    Both sketches take their degrees inside the decomposition stage, so
+    their degrees stage reads 0.0; only the deterministic method fills the
+    kernel and degrees stages.
     """
 
     def body(X, clock, settings):

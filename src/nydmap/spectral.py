@@ -316,9 +316,9 @@ class DiffusionOperator:
     multiply reads BLOCK_ENTRIES as it starts.  Products are bitwise
     repeatable for a given n and operand width, but their rounding depends
     on b and on the chunk rows.  With unit degrees it multiplies by K
-    itself and scales nothing.  This is the multiply provider for
-    the projection sketch when the kernel matrix does not fit or should
-    not be materialized.
+    itself and scales nothing.  Every multiply of the projection sketch
+    (nystrom.gaussian_sketch_basis) goes through it, so that sketch never
+    materializes the kernel.
     """
 
     def __init__(self, data, sigma, deg):

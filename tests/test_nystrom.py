@@ -47,6 +47,12 @@ def _diffusion_A(n, seed, sigma=0.8, p=3):
     return X, symmetric_matrix(K, deg), deg
 
 
+def _gaussian_project(A, l, q, seed):
+    # project on a given operator from a plain Gaussian start block.
+    Z = np.random.default_rng(seed).standard_normal((A.shape[0], l))
+    return project(A, Z, A @ Z, q)
+
+
 def _low_rank_psd(n, r, seed):
     G = np.random.default_rng(seed).normal(size=(n, r))
     return G @ G.T
@@ -183,7 +189,7 @@ def test_projection_top_eigenpair_is_exact(copies):
 def test_sketch_basis_orthonormal_on_identity():
     # I P_0 = P_0 leaves nothing to orthogonalise: the basis stops at its
     # start block.
-    Q, _ = gaussian_sketch_basis(np.eye(50), 50, 10, q=0, seed=0)
+    Q, _ = _gaussian_project(np.eye(50), 10, q=0, seed=0)
     assert Q.shape == (50, 10)
     assert np.abs(Q.T @ Q - np.eye(10)).max() <= 1e-10
 
@@ -194,7 +200,7 @@ def test_sketch_basis_captures_exact_low_rank_range():
         with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed"):
             # l > rank(A): the sketch collapses, and the basis is still
             # orthonormal and spans range(A).
-            Q, _ = gaussian_sketch_basis(A, 200, 16, q=0, seed=seed)
+            Q, _ = _gaussian_project(A, 16, q=0, seed=seed)
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-10
         err = np.linalg.norm(A - Q @ (Q.T @ A)) / np.linalg.norm(A)
         assert err <= 1e-10
@@ -205,7 +211,7 @@ def test_sketch_basis_of_zero_operator_is_degenerate():
     # maps to zero: the sketch captured nothing.
     with pytest.warns(RankDeficiencyWarning, match="sketch rank collapsed to 0 of 6"):
         with pytest.raises(DegeneracyError):
-            gaussian_sketch_basis(np.zeros((40, 40)), 40, 6, q=1, seed=0)
+            _gaussian_project(np.zeros((40, 40)), 6, q=1, seed=0)
 
 
 def test_start_columns_of_many_decades_are_full_rank():
@@ -262,26 +268,30 @@ def test_projection_memory_is_the_basis_and_one_multiply():
 
 
 def test_sketch_basis_deterministic():
-    _, A, _ = _diffusion_A(120, 5)
-    Q1, G1 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
-    Q2, G2 = gaussian_sketch_basis(A, 120, 15, q=2, seed=42)
+    X, _, _ = _diffusion_A(120, 5)
+    (Q1, G1), deg1 = gaussian_sketch_basis(X, 0.8, 15, 2, 42)
+    (Q2, G2), deg2 = gaussian_sketch_basis(X, 0.8, 15, 2, 42)
     assert np.array_equal(Q1, Q2) and np.array_equal(G1, G2)
+    assert np.array_equal(deg1.values, deg2.values)
 
 
-def test_sketch_basis_validation():
-    A = np.eye(10)
-    with pytest.raises(ParameterError):
-        gaussian_sketch_basis(A, 10, 11, q=0, seed=0)
-    with pytest.raises(ParameterError):
-        gaussian_sketch_basis(A, 10, 5, q=-1, seed=0)
-    with pytest.raises(ParameterError):
-        gaussian_sketch_basis(object(), 10, 5, q=0, seed=0)
-    # The operator protocol is A @ B: a callable is not an operator, and the
-    # operator must be n-by-n.
-    with pytest.raises(ParameterError):
-        gaussian_sketch_basis(lambda B: A @ B, 10, 5, q=0, seed=0)
-    with pytest.raises(ParameterError):
-        gaussian_sketch_basis(np.eye(9), 10, 5, q=0, seed=0)
+def test_sketch_basis_validation(kernel_entries):
+    X = DataMatrix(np.random.default_rng(0).normal(size=(10, 2)))
+    for l, q in ((11, 0), (0, 0), (5, -1)):
+        with pytest.raises(ParameterError):
+            gaussian_sketch_basis(X, 0.8, l, q, 0)
+    assert kernel_entries == []
+
+
+def test_sketch_basis_is_decompose_projection():
+    # decompose's projection is this start, its products and nystrom_eigs.
+    X = generate_helix(500, noise_std=0.05, seed=2)
+    factor, deg = gaussian_sketch_basis(X, 0.5, 30, 2, 4)
+    model = nystrom_eigs(factor, 20, deg)
+    expected = decompose(X, 0.5, "nystrom_projection", 20, oversampling=10, seed=4)
+    assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+    assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
+    assert np.array_equal(model.degrees.values, expected.degrees.values)
 
 
 def test_project_coordinate_basis():
@@ -316,7 +326,7 @@ def test_project_agrees_with_direct_pseudo_inverse_route():
     # SVD-of-F eigenpairs and this direct reconstruction are two routes to
     # the same projected operator.
     _, A, deg = _diffusion_A(200, 8)
-    Q, G = gaussian_sketch_basis(A, 200, 30, q=0, seed=3)
+    Q, G = _gaussian_project(A, 30, q=0, seed=3)
     F = Q @ G
     S = np.random.default_rng(3).standard_normal((200, 30))
     C = A @ S
@@ -365,7 +375,7 @@ def test_nystrom_eigs_exact_on_low_rank():
         n, r = 250, 10
         A = _low_rank_psd(n, r, seed)
         with pytest.warns(RankDeficiencyWarning):
-            F = gaussian_sketch_basis(A, n, r + 8, q=0, seed=seed)
+            F = _gaussian_project(A, r + 8, q=0, seed=seed)
         with pytest.warns(RankDeficiencyWarning):
             model = nystrom_eigs(F, r + 8, DegreeVector(np.ones(n)))
         dense_vals, _ = eigendecompose(A, r)
@@ -394,7 +404,7 @@ def test_nystrom_eigs_scaled_identity_complete():
 def test_nystrom_eigs_truncates_with_warning():
     A = _low_rank_psd(150, 3, 0)
     with pytest.warns(RankDeficiencyWarning):
-        F = gaussian_sketch_basis(A, 150, 10, q=0, seed=0)
+        F = _gaussian_project(A, 10, q=0, seed=0)
     with pytest.warns(RankDeficiencyWarning, match="effective rank"):
         model = nystrom_eigs(F, 8, DegreeVector(np.ones(150)))
     assert model.rank_d == 3
@@ -437,57 +447,9 @@ def test_nystrom_matches_deterministic_on_helix():
     deg = degree_vector(X, 0.5)
     A = symmetric_matrix(K, deg)
     det_vals, _ = eigendecompose(A, 12)
-    model = nystrom_eigs(gaussian_sketch_basis(A, 400, 22, q=2, seed=3), 12, deg)
+    model = nystrom_eigs(_gaussian_project(A, 22, q=2, seed=3), 12, deg)
     rel = np.abs(model.eigenvalues[:6] - det_vals[:6]) / det_vals[:6]
     assert rel.max() <= 1e-6
-
-
-@pytest.fixture(scope="module")
-def helix_2000():
-    """Acceptance criteria 2 and 3's helix and its exact model."""
-    X = generate_helix(2000, noise_std=0.05, seed=0)
-    return X, decompose(X, 0.5, "deterministic", 50)
-
-
-def _projection(X, seed):
-    # The projection users run: the Gaussian start with a ones column, on
-    # the matrix-free operator.
-    return decompose(
-        X, 0.5, "nystrom_projection", 50, oversampling=10, power_iterations=2, seed=seed
-    )
-
-
-def test_projection_path_spectrum_fidelity(helix_2000):
-    # Criterion 2's data and bound through decompose.
-    X, exact = helix_2000
-    top = exact.eigenvalues[:25]
-    for seed in range(5):
-        rel = np.abs(_projection(X, seed).eigenvalues[:25] - top) / top
-        assert rel.max() <= 1e-6
-
-
-def test_projection_path_embedding_error(helix_2000):
-    # Criterion 3's data and bound through decompose.
-    X, exact = helix_2000
-    err = relative_embedding_error(diffusion_map(exact, 1.0), diffusion_map(_projection(X, 0), 1.0))
-    assert err <= 1e-3
-
-
-@pytest.fixture(scope="module")
-def lorenz_3000():
-    """Acceptance criterion 4's Lorenz data and its exact top-100 embedding."""
-    X = subsample_rows(integrate_lorenz(LorenzParams()), 3000)
-    return X, diffusion_map(decompose(X, 10.0, "deterministic", 100), 1.0)
-
-
-def test_projection_path_embedding_error_lorenz(lorenz_3000):
-    # Criterion 4's data and bound through decompose, at seeds 0-4.
-    X, exact = lorenz_3000
-    for seed in range(5):
-        model = decompose(
-            X, 10.0, "nystrom_projection", 100, oversampling=10, power_iterations=2, seed=seed
-        )
-        assert relative_embedding_error(exact, diffusion_map(model, 1.0)) <= 0.15
 
 
 def test_more_power_iterations_do_not_hurt_on_average():
@@ -501,7 +463,7 @@ def test_more_power_iterations_do_not_hurt_on_average():
     for q in (0, 1, 2):
         errs = []
         for seed in range(20):
-            Q, G = gaussian_sketch_basis(A, 400, 12, q=q, seed=seed)
+            Q, G = _gaussian_project(A, 12, q=q, seed=seed)
             F = Q @ G
             errs.append(np.linalg.norm(A - F @ F.T) / np.linalg.norm(A))
         means.append(np.mean(errs))
@@ -543,7 +505,7 @@ def _nystrom_eigs_signs_first(F, d, deg, method="nystrom_projection"):
 
 def test_markov_vectors_match_sign_fixed_route(monkeypatch):
     X, A, deg = _diffusion_A(300, 12, sigma=0.5)
-    F = gaussian_sketch_basis(A, 300, 25, q=1, seed=1)
+    F = _gaussian_project(A, 25, q=1, seed=1)
     col_F, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
     sketches = ((F, deg, "nystrom_projection"), (col_F, col_deg, "nystrom_columns"))
     for F, dv, method in sketches:
@@ -558,6 +520,13 @@ def test_markov_vectors_match_sign_fixed_route(monkeypatch):
             expected = decompose(X, 0.5, method, 15, seed=1)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
+
+
+@pytest.fixture(scope="module")
+def lorenz_3000():
+    """Acceptance criterion 4's Lorenz data and its exact top-100 embedding."""
+    X = subsample_rows(integrate_lorenz(LorenzParams()), 3000)
+    return X, diffusion_map(decompose(X, 10.0, "deterministic", 100), 1.0)
 
 
 def test_sample_columns_near_numerical_rank_lorenz(lorenz_3000):

@@ -408,6 +408,16 @@ def test_run_columns_fetches_only_pivot_columns(tmp_path, kernel_entries):
     assert 0 < sum(kernel_entries) <= (50 + -(-50 // PIVOT_ROUNDS)) * n
 
 
+def test_run_projection_takes_degrees_inside_decomposition(tmp_path):
+    # The ones column of the sketch's first multiply gives the degrees, so
+    # neither the kernel nor the degrees stage runs.
+    out = tmp_path / "cli"
+    assert main(["run", "--method", "nys-rp", "--n", "400", "--rank", "10", "--out", str(out)]) == 0
+    times = load_report(str(out / "report.json")).wall_time_seconds
+    assert times["kernel"] == 0.0 and times["degrees"] == 0.0
+    assert times["decomposition"] > 0.0
+
+
 def test_run_columns_near_identity_kernel_exits_3(tmp_path, capsys):
     out = str(tmp_path / "cli")
     code = main(
