@@ -15,9 +15,9 @@ Both sketches reduce A ~= C W^+ C^T to one factor F with A ~= F F^T:
   from q + 1 matrix-free multiplies and is kept factored, G small; the
   ones column of the first product, K Z, gives the degrees.
 
-Eigenpairs are recovered from the thin SVD of F (of G, for the factored
-form): the squared singular values approximate the eigenvalues of A and
-the left singular vectors approximate its eigenvectors.
+Eigenpairs are recovered from the l-by-l Gram matrix F^T F (G^T G, for
+the factored form): its eigenpairs (lam, V) give A's eigenvalues lam and
+eigenvectors F V lam^-1/2, with no SVD of a matrix with n rows.
 ``runner.decompose`` runs either sketch, or the exact solve, from data
 to SpectralModel.
 """
@@ -49,7 +49,8 @@ from .spectral import (
 PIVOT_ROUNDS = 12
 
 # The numerical-rank cutoff of both sketches; each function's docstring
-# states the form it takes there.
+# states the form it takes there.  In nystrom_eigs it sits about 15 times
+# above the Gram's relative rounding floor, l * eps (7e-14 at l = 310).
 RANK_TOL = 1e-12
 
 
@@ -318,17 +319,23 @@ def psd_inverse_sqrt(W):
 
 
 def nystrom_eigs(F, d, deg, method="nystrom_projection"):
-    """Approximate top-d eigenpairs of A ~= F F^T from the thin SVD of F.
+    """Approximate top-d eigenpairs of A ~= F F^T from the l-by-l Gram matrix.
 
     F is the n-by-l factor, or project's factored form, a pair (Q, G) with
-    F = Q G and Q orthonormal, whose SVD is Q times that of the small G.
-    Eigenvalues are the squared singular values (guaranteeing the diffusion
-    spectrum stays nonnegative) and the left singular vectors, eigenvectors
-    of A, give the Markov eigenvectors.  If the numerical rank of F
-    (singular values above sqrt(RANK_TOL) times the largest) is below d,
-    the result is truncated and a RankDeficiencyWarning records the
-    effective rank.  Returns a SpectralModel tagged ``method``, the sketch
-    that built F: ``nystrom_projection`` or ``nystrom_columns``.
+    F = Q G and Q orthonormal; M is F, or the small G.  The eigenpairs
+    (lam, V) of M^T M give A's eigenvalues lam (the kept ones are positive,
+    so the diffusion spectrum stays nonnegative) and its eigenvectors
+    U = M V lam^-1/2, times Q for the factored form (Williams and Seeger,
+    NIPS 2001), so no SVD of a matrix with n rows is taken.  U is not
+    reorthogonalised: recover_markov_eigvecs rescales each column.
+
+    The effective rank counts lam above RANK_TOL times the largest, about
+    15 times the Gram's rounding floor l * eps * lam_1 (7e-14 at l = 310);
+    the zero columns of a column draw that stopped early give zero
+    eigenvalues and drop out.  If it is below d, the result is truncated
+    and a RankDeficiencyWarning records the effective rank.  Returns a
+    SpectralModel tagged ``method``, the sketch that built F:
+    ``nystrom_projection`` or ``nystrom_columns``.
     """
     Q = None
     if isinstance(F, tuple):
@@ -344,10 +351,11 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
         raise DimensionError(f"F is for n={n} but degrees have length {deg.n}")
     if method not in ("nystrom_columns", "nystrom_projection"):
         raise ParameterError(f"unknown sketch method {method!r}")
-    U, svals, _ = np.linalg.svd(F, full_matrices=False)
-    if not svals[0] > 0.0:
+    lam, V = np.linalg.eigh(F.T @ F)
+    lam, V = lam[::-1], V[:, ::-1]
+    if not lam[0] > 0.0:
         raise DegeneracyError("approximate factor F is identically zero")
-    effective_rank = int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL)))
+    effective_rank = int(np.count_nonzero(lam > lam[0] * RANK_TOL))
     keep = min(d, effective_rank)
     if keep < d:
         warnings.warn(
@@ -356,6 +364,7 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    U = U[:, :keep] if Q is None else Q @ U[:, :keep]
+    U = F @ (V[:, :keep] / np.sqrt(lam[:keep]))
+    U = U if Q is None else Q @ U
     markov = recover_markov_eigvecs(U, deg)
-    return SpectralModel(svals[:keep] ** 2, markov, deg, method)
+    return SpectralModel(lam[:keep], markov, deg, method)

@@ -352,7 +352,11 @@ def _pipeline(config, body):
         comparison=comparison,
     )
     if labels is not None:
-        report.clustering = {"k": labels.k, "inertia": labels.inertia}
+        report.clustering = {
+            "k": labels.k,
+            "inertia": labels.inertia,
+            "iterations": len(labels.inertia_history),
+        }
     files = [
         (name, emb, labels if name == reference else None)
         for name, emb in embeddings.items()

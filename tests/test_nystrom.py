@@ -323,8 +323,8 @@ def test_project_requires_square_operator():
 def test_project_agrees_with_direct_pseudo_inverse_route():
     # At q = 0 the sketch is plain Nystrom on the Gaussian start block S,
     # F F^T = A S (S^T A S)^+ S^T A to rounding, from one multiply.  The
-    # SVD-of-F eigenpairs and this direct reconstruction are two routes to
-    # the same projected operator.
+    # factored F and this direct reconstruction are two routes to the same
+    # projected operator.
     _, A, deg = _diffusion_A(200, 8)
     Q, G = _gaussian_project(A, 30, q=0, seed=3)
     F = Q @ G
@@ -385,12 +385,16 @@ def test_nystrom_eigs_exact_on_low_rank():
 
 
 def test_nystrom_eigs_identity_w_uses_c_unchanged():
-    # The column factor goes to the SVD as it is.
+    # The column factor's Gram matrix is taken as it is; its eigenvalues
+    # are F's squared singular values to rounding: lam_30 / lam_1 is 0.14,
+    # so the Gram's floor l * eps * lam_1 is 6e-14 of lam_30, 16 times
+    # below the 1e-12 allowed.
     X, _, _ = _diffusion_A(300, 2)
     F, deg, _ = _pivoted(X, 0.8, 40, seed=3)
     model = nystrom_eigs(F, 30, deg, method="nystrom_columns")
-    _, svals, _ = np.linalg.svd(F, full_matrices=False)
-    assert np.array_equal(model.eigenvalues, svals[:30] ** 2)
+    assert np.array_equal(model.eigenvalues, np.linalg.eigh(F.T @ F)[0][::-1][:30])
+    svals = np.linalg.svd(F, compute_uv=False)
+    np.testing.assert_allclose(model.eigenvalues, svals[:30] ** 2, rtol=1e-12, atol=0.0)
 
 
 def test_nystrom_eigs_scaled_identity_complete():
@@ -496,11 +500,13 @@ def _nystrom_eigs_signs_first(F, d, deg, method="nystrom_projection"):
     # A's eigenvectors before recovering the Markov ones.  A pair (Q, G) is
     # the factor F = Q G with Q orthonormal.
     Q, F = F if isinstance(F, tuple) else (None, F)
-    U, svals, _ = np.linalg.svd(F, full_matrices=False)
-    keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL))))
-    U = U[:, :keep] if Q is None else Q @ U[:, :keep]
+    lam, V = np.linalg.eigh(F.T @ F)
+    lam, V = lam[::-1], V[:, ::-1]
+    keep = min(d, int(np.count_nonzero(lam > lam[0] * RANK_TOL)))
+    U = F @ (V[:, :keep] / np.sqrt(lam[:keep]))
+    U = U if Q is None else Q @ U
     markov = recover_markov_eigvecs(fix_signs(U), deg)
-    return SpectralModel(svals[:keep] ** 2, markov, deg, method)
+    return SpectralModel(lam[:keep], markov, deg, method)
 
 
 def test_markov_vectors_match_sign_fixed_route(monkeypatch):
@@ -520,6 +526,88 @@ def test_markov_vectors_match_sign_fixed_route(monkeypatch):
             expected = decompose(X, 0.5, method, 15, seed=1)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
+
+
+def _nystrom_eigs_svd(F, d, deg, method="nystrom_projection"):
+    # nystrom_eigs's tall-SVD route, kept as the reference for the Gram
+    # route: eigenvalues are F's squared singular values, eigenvectors its
+    # left singular vectors, with the same rank cutoff on sigma^2.
+    Q, F = F if isinstance(F, tuple) else (None, F)
+    U, svals, _ = np.linalg.svd(F, full_matrices=False)
+    keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL))))
+    U = U[:, :keep] if Q is None else Q @ U[:, :keep]
+    return SpectralModel(svals[:keep] ** 2, recover_markov_eigvecs(U, deg), deg, method)
+
+
+def _graded_factor(n, ratios, seed):
+    # An n-by-l factor whose squared singular values are ratios.
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(n, ratios.size)))
+    W, _ = np.linalg.qr(rng.normal(size=(ratios.size, ratios.size)))
+    return (U * np.sqrt(ratios)) @ W.T
+
+
+def test_gram_route_matches_svd_on_graded_and_deficient_factors():
+    rng = np.random.default_rng(0)
+    factors = [
+        _graded_factor(1000, np.logspace(0.0, -16.0, 40), seed=1),
+        _graded_factor(1000, np.r_[np.logspace(0.0, -10.5, 30), np.logspace(-13.5, -16.0, 10)], 2),
+        rng.normal(size=(1000, 10)) @ rng.normal(size=(10, 30)),
+    ]
+    # Column draws that stopped early: 50 distinct points (10 zero columns)
+    # and a line whose kernel has numerical rank about 6.
+    twins = DataMatrix(np.repeat(rng.normal(size=(50, 3)), 20, axis=0))
+    line = DataMatrix(np.linspace(0.0, 1.0, 300)[:, None])
+    for X, sigma in ((twins, 0.5), (line, 10.0)):
+        with pytest.warns(RankDeficiencyWarning, match="pivoting stopped"):
+            F, _, _ = _pivoted(X, sigma, 60, seed=0)
+        assert np.all(F[:, -10:] == 0.0)
+        factors.append(F)
+    eps = np.finfo(float).eps
+    for F in factors:
+        n, l = F.shape
+        deg = DegreeVector(np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            model = nystrom_eigs(F, l, deg, method="nystrom_columns")
+            expected = _nystrom_eigs_svd(F, l, deg, method="nystrom_columns")
+        svals = np.linalg.svd(F, compute_uv=False)
+        ratios = svals ** 2 / svals[0] ** 2
+        if not np.any((ratios > RANK_TOL / 10) & (ratios < RANK_TOL * 10)):
+            assert model.rank_d == expected.rank_d
+        k = min(model.rank_d, expected.rank_d)
+        err = np.abs(model.eigenvalues[:k] - expected.eigenvalues[:k]).max()
+        assert err <= l * eps * svals[0] ** 2
+        assert np.all(np.isfinite(model.eigenvalues))
+        assert np.all(np.isfinite(model.eigenvectors_markov))
+
+
+def test_gram_route_embedding_matches_svd_route(monkeypatch):
+    X = generate_helix(2000, noise_std=0.05, seed=0)
+    emb = diffusion_map(decompose(X, 0.5, "nystrom_columns", 50), 1.0)
+    monkeypatch.setattr(runner, "nystrom_eigs", _nystrom_eigs_svd)
+    expected = diffusion_map(decompose(X, 0.5, "nystrom_columns", 50), 1.0)
+    assert relative_embedding_error(expected, emb) <= 1e-10
+
+
+def test_no_svd_of_a_matrix_with_n_rows(monkeypatch):
+    # The eigenpairs come from l-by-l problems; a tall SVD costs n l^2
+    # flops and an n-by-l workspace (most of the column sketch's time and
+    # memory at n = 60000).
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    n = 2000
+    X = generate_helix(n, noise_std=0.05, seed=0)
+    for method in ("nystrom_projection", "nystrom_columns"):
+        decompose(X, 0.5, method, 20, seed=1)
+    assert shapes
+    assert all(shape[0] != n for shape in shapes), shapes
 
 
 @pytest.fixture(scope="module")

@@ -565,6 +565,24 @@ def test_embedding_csv_reloads_in_process_result(tmp_path, method):
     assert np.array_equal(saved[:, -1], labels.labels)
 
 
+def test_report_records_kmeans_iterations(tmp_path):
+    config = _cfg(tmp_path, method="nystrom_columns", cluster_k=3)
+    run_experiment(config)
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())["clustering"]
+    X = generate_helix(config.n, config.noise_std, config.seed)
+    model = decompose(
+        X, config.sigma, "nystrom_columns", config.d, oversampling=config.oversampling,
+        seed=config.seed,
+    )
+    labels = kmeans_cluster(diffusion_map(model, config.t, config.d), 3, seed=config.seed)
+    assert saved == {
+        "k": 3,
+        "inertia": labels.inertia,
+        "iterations": len(labels.inertia_history),
+    }
+    assert saved["iterations"] >= 1
+
+
 def test_compare_spectrum_csv_reloads_report_eigenvalues(tmp_path):
     # Three tight clusters: both sketches return 3 of the 10 eigenvalues.
     rng = np.random.default_rng(0)
