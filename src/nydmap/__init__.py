@@ -29,7 +29,6 @@ from .datasets import (
     generate_swiss_roll,
     integrate_lorenz,
     load_csv,
-    lorenz_derivative,
     save_csv,
     subsample_rows,
 )
@@ -38,7 +37,6 @@ from .embedding import (
     DiffusionEmbedding,
     diffusion_distance,
     diffusion_map,
-    eigenvalue_power,
     kmeans_cluster,
     relative_embedding_error,
 )
@@ -83,8 +81,6 @@ from .spectral import (
     SpectralModel,
     deterministic_model,
     eigendecompose,
-    fix_signs,
-    markov_matrix,
     recover_markov_eigvecs,
     symmetric_matrix,
 )
@@ -118,8 +114,6 @@ __all__ = [
     "diffusion_distance",
     "diffusion_map",
     "eigendecompose",
-    "eigenvalue_power",
-    "fix_signs",
     "gaussian_kernel_columns",
     "gaussian_kernel_matrix",
     "gaussian_sketch_basis",
@@ -130,8 +124,6 @@ __all__ = [
     "load_config_file",
     "load_csv",
     "load_report",
-    "lorenz_derivative",
-    "markov_matrix",
     "nystrom_eigs",
     "project",
     "psd_inverse_sqrt",

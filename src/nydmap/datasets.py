@@ -48,10 +48,6 @@ class DataMatrix:
     def n(self):
         return self.values.shape[0]
 
-    @property
-    def p(self):
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class LorenzParams:
@@ -144,12 +140,6 @@ def generate_swiss_roll(n, noise_std=0.05, seed=0):
 
 def _lorenz_rhs(x, y, z, sigma, rho, beta):
     return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-
-
-def lorenz_derivative(state, params):
-    """Right-hand side of the Lorenz system at a single state."""
-    x, y, z = (float(v) for v in state)
-    return np.array(_lorenz_rhs(x, y, z, params.sigma, params.rho, params.beta))
 
 
 def integrate_lorenz(params):

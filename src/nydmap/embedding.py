@@ -6,6 +6,7 @@ eigenvectors v_c of a SpectralModel.  Squared Euclidean distance between
 rows is the diffusion distance.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
 )
 
 EIGENVALUE_CLAMP = -1e-10
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,16 @@ class DiffusionEmbedding:
 
 @dataclass(frozen=True)
 class ClusterLabels:
-    """k-means result: labels in [0, k), every cluster nonempty."""
+    """k-means result: labels in [0, k), every cluster nonempty.
+
+    ``converged`` is true when the last round left the assignment unchanged.
+    """
 
     labels: np.ndarray
     k: int
     inertia: float
     inertia_history: np.ndarray
+    converged: bool
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -201,20 +207,19 @@ def _plus_plus_centers(coords, k, rng):
     return centers
 
 
-def kmeans_cluster(emb, k, seed=0, max_iters=100):
+def kmeans_cluster(emb, k, seed=0):
     """Lloyd's k-means on the embedding coordinates.
 
     Deterministic per seed (k-means++ initialization included).  An empty
     cluster is re-seeded at the point farthest from its assigned center.
     The recorded inertia history is non-increasing; iteration stops when
-    the assignment stops changing or after max_iters rounds.
+    the assignment stops changing (``converged``) or after
+    KMEANS_MAX_ITERS rounds, which a UserWarning reports.
     """
     coords = emb.coords
     n = coords.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n={n}, got k={k}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     rng = np.random.default_rng(seed)
     centers = _plus_plus_centers(coords, k, rng)
     rows = np.arange(n)
@@ -222,7 +227,8 @@ def kmeans_cluster(emb, k, seed=0, max_iters=100):
     onehot = np.zeros((k, n))
     labels = None
     history = []
-    for _ in range(max_iters):
+    converged = False
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists_to_centers(coords, x2, centers)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
@@ -235,6 +241,7 @@ def kmeans_cluster(emb, k, seed=0, max_iters=100):
                 closest = d2[rows, new_labels]
         history.append(float(closest.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
             break
         labels = new_labels
         # Every center is its members' mean, from one product.  A cluster
@@ -245,4 +252,10 @@ def kmeans_cluster(emb, k, seed=0, max_iters=100):
         counts = np.bincount(labels, minlength=k)
         filled = counts > 0
         centers[filled] = (onehot @ coords)[filled] / counts[filled, None]
-    return ClusterLabels(labels, k, history[-1], np.array(history))
+    if not converged:
+        warnings.warn(
+            f"k-means stopped at its cap of {KMEANS_MAX_ITERS} rounds with the "
+            "assignment still changing",
+            stacklevel=2,
+        )
+    return ClusterLabels(labels, k, history[-1], np.array(history), converged)

@@ -139,14 +139,14 @@ def _available_memory_bytes():
     return None
 
 
-def _check_square_fits(n, what):
-    """The 8 n^2 bytes of an n-by-n float64 array, or a CapacityError naming ``what``.
+def _check_fits(needed, n, what):
+    """``needed`` bytes for ``what``, or a CapacityError naming ``what`` and n.
 
     Under overcommit an allocation beyond MemAvailable can succeed and the
-    process be killed while it is filled, so every n-by-n request is
-    checked against MemAvailable first.
+    process be killed while it is filled, so every large request (the
+    n-by-n kernel and dense-solver copy, the sketches' n-row factors and
+    bases) is checked against MemAvailable first.
     """
-    needed = 8 * n * n
     available = _available_memory_bytes()
     if available is not None and needed > available:
         raise CapacityError(
@@ -154,15 +154,6 @@ def _check_square_fits(n, what):
             f"but only {available} bytes are available"
         )
     return needed
-
-
-def _checked_square(n, what):
-    """An uninitialized n-by-n float64 array, or a CapacityError naming ``what``."""
-    needed = _check_square_fits(n, what)
-    try:
-        return np.empty((n, n))
-    except MemoryError as exc:
-        raise CapacityError(f"{what} for n={n} needs {needed} bytes") from exc
 
 
 def gaussian_kernel_matrix(X, sigma):
@@ -186,11 +177,15 @@ def gaussian_kernel_matrix(X, sigma):
     ------
     CapacityError
         If the n*n float64 buffer exceeds the memory the system reports
-        available, or cannot be allocated (see _checked_square).
+        available (see _check_fits), or cannot be allocated.
     """
     _check_sigma(sigma)
     n = X.n
-    K = _checked_square(n, "kernel matrix")
+    needed = _check_fits(8 * n * n, n, "kernel matrix")
+    try:
+        K = np.empty((n, n))
+    except MemoryError as exc:
+        raise CapacityError(f"kernel matrix for n={n} needs {needed} bytes") from exc
     values = X.values
     for i0, i1 in row_blocks(n, n):
         gaussian_kernel_block(values[i0:i1], values[i0:], sigma, out=K[i0:i1, i0:])

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RankDeficiencyWarning,
 )
-from .kernel import DegreeVector
+from .kernel import DegreeVector, _check_fits
 from .spectral import (
     SYMMETRY_TOL,
     DiffusionOperator,
@@ -83,6 +83,8 @@ def sample_columns(kernel_columns, n, l, seed):
 
     Raises
     ------
+    CapacityError
+        If F's 8 n l bytes exceed the available memory (kernel._check_fits).
     DegeneracyError
         If some factor degree is not a positive normal float: the sketch
         leaves those points unconnected (the kernel is near the identity
@@ -92,6 +94,7 @@ def sample_columns(kernel_columns, n, l, seed):
         raise ParameterError(f"need 1 <= l <= n={n}, got l={l}")
     rng = np.random.default_rng(seed)
     per_round = -(-l // PIVOT_ROUNDS)
+    _check_fits(8 * n * l, n, "column factor")
     F = np.zeros((n, l))
     residual = np.ones(n)
     J = []
@@ -210,7 +213,8 @@ def project(A, S, Y, q):
     mistaken for a rank-deficient one.
 
     Returns (Q_+, G), the factored form of F = Q_+ G, with Q_+ n-by-r
-    orthonormal and r <= (q + 2) l.
+    orthonormal and r <= (q + 2) l.  Raises CapacityError if the basis's
+    8 n (q + 2) l bytes exceed the available memory (kernel._check_fits).
     """
     n, l = S.shape
     if getattr(A, "shape", None) != (n, n):
@@ -219,6 +223,7 @@ def project(A, S, Y, q):
         raise DimensionError(f"Y has shape {Y.shape}, expected ({n}, {l})")
     # Column-major, so a block's memory is touched only once it is used.
     # The columns after the last block filled are also scratch.
+    _check_fits(8 * n * (q + 2) * l, n, "projection basis")
     basis = np.empty(((q + 2) * l, n)).T
     B = np.zeros(((q + 2) * l, (q + 1) * l))
     # Householder R is accurate column by column, so S R^-1 is nearly

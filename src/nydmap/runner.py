@@ -64,12 +64,11 @@ from .nystrom import (
 )
 from .spectral import (
     METHODS,
-    SpectralModel,
-    deterministic_model,  # not called here: perfbench's tracer wraps this site
-    eigendecompose,
+    deterministic_model,
+    eigendecompose,  # not called here: perfbench's tracer wraps this site
     load_exact_solver,
-    recover_markov_eigvecs,
-    symmetric_matrix,
+    recover_markov_eigvecs,  # not called here: perfbench's tracer wraps this site
+    symmetric_matrix,  # not called here: perfbench's tracer wraps this site
 )
 
 DATASETS = ("helix", "swiss_roll", "lorenz", "csv")
@@ -249,7 +248,8 @@ def decompose(
     power_iterations, seed and the sketch size are checked before any
     kernel entry is evaluated.  A ``clock`` (a _StageClock) times the
     kernel, degrees and decomposition stages and raises a failure as a
-    StageFailure naming its stage.
+    StageFailure naming its stage.  A second eigenvalue within 1e-10 of 1
+    (a disconnected graph) raises a UserWarning.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
@@ -273,12 +273,10 @@ def decompose(
         # Row sums of the materialized kernel match the streamed
         # degree_vector bitwise (same per-row reduction).
         deg, _ = run("degrees", lambda: DegreeVector(K.sum(axis=1)))
-        A, _ = run("decomposition", lambda: symmetric_matrix(K, deg, overwrite=True))
 
     def solve():
         if method == "deterministic":
-            vals, vecs = eigendecompose(A, d, check_symmetry=False)
-            return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, method)
+            return deterministic_model(K, deg, d)
         if method == "nystrom_columns":
             columns = functools.partial(gaussian_kernel_columns, X, sigma)
             F, sketch_deg, _ = sample_columns(columns, X.n, l, seed)
@@ -286,7 +284,14 @@ def decompose(
             F, sketch_deg = gaussian_sketch_basis(X, sigma, l, power_iterations, seed)
         return nystrom_eigs(F, d, sketch_deg, method=method)
 
-    return run("decomposition", solve)[0]
+    model = run("decomposition", solve)[0]
+    if model.rank_d > 1 and model.eigenvalues[1] >= 1.0 - 1e-10:
+        warnings.warn(
+            f"eigenvalue 1 repeats (1 - lambda_2 = {1.0 - model.eigenvalues[1]:.1e}): "
+            "the graph is disconnected and its embedding is not unique",
+            stacklevel=2,
+        )
+    return model
 
 
 def _embed(config, model):
@@ -322,22 +327,59 @@ def _zero_padded(emb, d):
     )
 
 
-def _pipeline(config, body):
-    """The frame run_experiment and compare_methods share.
+def _pipeline(config, methods):
+    """Decompose and embed one dataset by each of ``methods``, then write.
 
-    ``body(X, clock, settings)`` decomposes and embeds the data.  It returns
-    the reference model, the embeddings to write as {file name: embedding},
-    the reference's first, and the comparison block and spectra (None for
-    a single run).  k-means labels only the reference.
+    Every method runs through ``decompose`` as ``run`` runs it.  The first
+    is the reference: it fills the standard stages, gives the report's
+    top-level fields and is the only embedding k-means labels.  Each later
+    method is timed, decomposition and embedding, under its own name and
+    scored against the reference in ``comparison[method]``.  One method
+    writes ``embedding.csv``; several write ``embedding_<method>.csv``
+    each and ``spectrum.csv``.
     """
     config.validate()
     clock = _StageClock()
     settings = {name: getattr(config, name) for name in _SETTINGS}
+    several = len(methods) > 1
+    comparison, spectra, embeddings = {}, {}, {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         X, _ = clock.run("data", lambda: _build_dataset(config))
-        model, embeddings, comparison, spectra = body(X, clock, settings)
-        reference, ref_emb = next(iter(embeddings.items()))
+        if several:
+            # The sketches must fit before the exact solve spends a kernel pass.
+            _sketch_size(X.n, config.d, config.oversampling)
+        for method in methods:
+            if method == methods[0]:
+                model = ref = decompose(X, method=method, clock=clock, **settings)
+                emb, embed_time = clock.run("embedding", lambda: _embed(config, ref))
+                ref_emb, ref_decomp = emb, clock.times["decomposition"]
+                ref_pipeline = (
+                    clock.times["kernel"] + clock.times["degrees"] + ref_decomp + embed_time
+                )
+            else:
+                model, decomp_time = clock.run(
+                    method, lambda: decompose(X, method=method, **settings)
+                )
+                emb, embed_time = clock.run(method, lambda: _embed(config, model))
+                comparison[method] = {
+                    "decomposition_seconds": decomp_time,
+                    "embedding_seconds": embed_time,
+                    "speedup_decomposition": ref_decomp / max(decomp_time, 1e-12),
+                    "speedup_pipeline": ref_pipeline / max(decomp_time + embed_time, 1e-12),
+                    "relative_error": relative_embedding_error(
+                        ref_emb, _zero_padded(emb, ref_emb.d)
+                    ),
+                    "effective_rank": model.rank_d,
+                    "eigenvalues": [float(v) for v in model.eigenvalues],
+                }
+                if method == "nystrom_columns":
+                    exact_deg = ref.degrees.values
+                    comparison[method]["degree_rel_err"] = float(
+                        np.max(np.abs(model.degrees.values - exact_deg) / exact_deg)
+                    )
+            spectra[method] = model.eigenvalues
+            embeddings[f"embedding_{method}.csv" if several else "embedding.csv"] = emb
         labels = None
         if config.cluster_k:
             labels, _ = clock.run(
@@ -346,22 +388,25 @@ def _pipeline(config, body):
     report = ExperimentReport(
         config=config.to_dict(),
         wall_time_seconds=dict(clock.times),
-        eigenvalues=[float(v) for v in model.eigenvalues],
-        effective_rank=model.rank_d,
+        eigenvalues=[float(v) for v in ref.eigenvalues],
+        effective_rank=ref.rank_d,
         warnings=[str(w.message) for w in caught],
-        comparison=comparison,
+        comparison=comparison if several else None,
     )
     if labels is not None:
         report.clustering = {
             "k": labels.k,
             "inertia": labels.inertia,
             "iterations": len(labels.inertia_history),
+            "converged": labels.converged,
         }
     files = [
-        (name, emb, labels if name == reference else None)
+        (name, emb, labels if emb is ref_emb else None)
         for name, emb in embeddings.items()
     ]
-    _write_outputs(config.output_dir, report, files, config, spectra=spectra)
+    _write_outputs(
+        config.output_dir, report, files, config, spectra=spectra if several else None
+    )
     return report
 
 
@@ -375,13 +420,7 @@ def run_experiment(config):
     their degrees stage reads 0.0; only the deterministic method fills the
     kernel and degrees stages.
     """
-
-    def body(X, clock, settings):
-        model = decompose(X, method=config.method, clock=clock, **settings)
-        emb, _ = clock.run("embedding", lambda: _embed(config, model))
-        return model, {"embedding.csv": emb}, None, None
-
-    return _pipeline(config, body)
+    return _pipeline(config, (config.method,))
 
 
 def compare_methods(config):
@@ -400,52 +439,7 @@ def compare_methods(config):
     ``comparison[method]`` holds timings, speedups, eigenvalues and the
     relative embedding error of each Nystrom method.
     """
-
-    def body(X, clock, settings):
-        # The sketches must fit before the exact solve spends a kernel pass.
-        _sketch_size(X.n, config.d, config.oversampling)
-        comparison, spectra, embeddings = {}, {}, {}
-        for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
-            # The reference fills the standard stages; each sketch is
-            # timed, decomposition and embedding, under its own name.
-            exact = method == "deterministic"
-            if exact:
-                model = decompose(X, method=method, clock=clock, **settings)
-            else:
-                model, decomp_time = clock.run(
-                    method, lambda m=method: decompose(X, method=m, **settings)
-                )
-            emb, embed_time = clock.run(
-                "embedding" if exact else method, lambda m=model: _embed(config, m)
-            )
-            spectra[method] = model.eigenvalues
-            embeddings[f"embedding_{method}.csv"] = emb
-            if exact:
-                det_model, det_emb = model, emb
-                det_decomp = clock.times["decomposition"]
-                det_pipeline = (
-                    clock.times["kernel"] + clock.times["degrees"] + det_decomp + embed_time
-                )
-                continue
-            comparison[method] = {
-                "decomposition_seconds": decomp_time,
-                "embedding_seconds": embed_time,
-                "speedup_decomposition": det_decomp / max(decomp_time, 1e-12),
-                "speedup_pipeline": det_pipeline / max(decomp_time + embed_time, 1e-12),
-                "relative_error": relative_embedding_error(
-                    det_emb, _zero_padded(emb, det_emb.d)
-                ),
-                "effective_rank": model.rank_d,
-                "eigenvalues": [float(v) for v in model.eigenvalues],
-            }
-            if method == "nystrom_columns":
-                exact_deg = det_model.degrees.values
-                comparison[method]["degree_rel_err"] = float(
-                    np.max(np.abs(model.degrees.values - exact_deg) / exact_deg)
-                )
-        return det_model, embeddings, comparison, spectra
-
-    return _pipeline(config, body)
+    return _pipeline(config, ("deterministic", "nystrom_projection", "nystrom_columns"))
 
 
 def _config_lines(config):

@@ -1,9 +1,9 @@
 """Diffusion-operator construction and deterministic eigendecomposition.
 
-From a kernel matrix K with degrees D the module builds the row-stochastic
-Markov matrix P = D^-1 K and the symmetric operator A = D^-1/2 K D^-1/2.
-A and P are similar, so the spectrum is computed on A with a symmetric
-solver and Markov eigenvectors are recovered by scaling with D^-1/2.
+From a kernel matrix K with degrees D the module builds the symmetric
+operator A = D^-1/2 K D^-1/2, similar to the row-stochastic Markov matrix
+P = D^-1 K, so the spectrum is computed on A with a symmetric solver and
+Markov eigenvectors are recovered by scaling with D^-1/2.
 
 The exact solve is the only user of scipy, and it imports scipy when it
 runs (load_exact_solver), so importing the package and running either
@@ -40,8 +40,7 @@ from .errors import ContractError, DimensionError, ParameterError
 from .kernel import (
     DegreeVector,
     _check_sigma,
-    _check_square_fits,
-    _checked_square,
+    _check_fits,
     gaussian_kernel_block,
     row_blocks,
 )
@@ -130,34 +129,21 @@ def fix_signs(U):
     return U * signs
 
 
-def _check_kernel(K, deg):
-    if K.shape != (deg.n, deg.n):
-        raise DimensionError(f"kernel shape {K.shape} does not match degree length {deg.n}")
-
-
-def markov_matrix(K, deg):
-    """Row-stochastic transition matrix P with P[i, j] = K[i, j] / deg[i]."""
-    _check_kernel(K, deg)
-    return K / deg.values[:, None]
-
-
-def symmetric_matrix(K, deg, overwrite=False):
+def symmetric_matrix(K, deg):
     """Symmetric operator A with A[i, j] = K[i, j] / sqrt(deg[i] * deg[j]).
 
-    The denominator is formed as the product sqrt(deg[i]) * sqrt(deg[j]),
-    which is commutative, so A is exactly as symmetric as K.  With
-    ``overwrite=True`` K is normalized in place and returned as A, which
-    halves peak memory for large n; otherwise A is a new float64 array,
-    checked against available memory first (CapacityError, as for the
-    kernel matrix).  The temporary denominators are formed one row block
+    K is normalized in place and returned as A, so no second n-by-n array
+    is allocated.  The denominator is formed as the product
+    sqrt(deg[i]) * sqrt(deg[j]), which is commutative, so A is exactly as
+    symmetric as K.  The temporary denominators are formed one row block
     at a time.
     """
-    _check_kernel(K, deg)
+    if K.shape != (deg.n, deg.n):
+        raise DimensionError(f"kernel shape {K.shape} does not match degree length {deg.n}")
     root = np.sqrt(deg.values)
-    out = K if overwrite else _checked_square(deg.n, "operator copy")
     for i0, i1 in row_blocks(deg.n, deg.n):
-        np.divide(K[i0:i1], root[i0:i1, None] * root[None, :], out=out[i0:i1])
-    return out
+        np.divide(K[i0:i1], root[i0:i1, None] * root[None, :], out=K[i0:i1])
+    return K
 
 
 def max_asymmetry(A):
@@ -263,7 +249,7 @@ def eigendecompose(A, d, check_symmetry=True):
             )
     if vals is None:
         # scipy's eigh works on an n-by-n copy of A.
-        _check_square_fits(n, "dense eigensolver copy")
+        _check_fits(8 * n * n, n, "dense eigensolver copy")
         vals, vecs = scipy.linalg.eigh(
             A, subset_by_index=[n - d, n - 1], check_finite=False
         )
@@ -296,7 +282,8 @@ def recover_markov_eigvecs(U_sym, deg):
 def deterministic_model(K, deg, d):
     """Full deterministic pipeline from kernel to SpectralModel.
 
-    Builds A, decomposes it, and recovers Markov eigenvectors.
+    Normalizes K in place into A (see symmetric_matrix), so K is consumed,
+    decomposes A and recovers the Markov eigenvectors.
     """
     A = symmetric_matrix(K, deg)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
@@ -337,12 +324,9 @@ class DiffusionOperator:
 
     def matmat(self, B):
         B = np.asarray(B, dtype=float)
-        single = B.ndim == 1
-        if single:
-            B = B[:, None]
         n = self.shape[0]
-        if B.shape[0] != n:
-            raise DimensionError(f"operand has {B.shape[0]} rows, expected {n}")
+        if B.ndim != 2 or B.shape[0] != n:
+            raise DimensionError(f"operand must have shape ({n}, k), got {B.shape}")
         inv_root = self._inv_root_deg
         scaled = B if inv_root is None else B * inv_root[:, None]
         k = B.shape[1]
@@ -364,7 +348,7 @@ class DiffusionOperator:
             del block  # free it before the next block is allocated
         if inv_root is not None:
             out *= inv_root[:, None]
-        return out[:, 0] if single else out
+        return out
 
     def __matmul__(self, B):
         return self.matmat(B)

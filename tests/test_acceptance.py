@@ -26,14 +26,13 @@ from nydmap import (
     generate_helix,
     integrate_lorenz,
     kmeans_cluster,
-    lorenz_derivative,
-    markov_matrix,
     nystrom_eigs,
     project,
     relative_embedding_error,
     run_experiment,
     subsample_rows,
 )
+from nydmap.datasets import _lorenz_rhs
 from nydmap.kernel import DegreeVector, _available_memory_bytes
 
 
@@ -211,7 +210,7 @@ def _markov_invariants(X, sigma):
     |top eigenvalue - 1|, max |eigenvalue| - 1 and worst residual."""
     K = gaussian_kernel_matrix(X, sigma)
     deg = DegreeVector(K.sum(axis=1))
-    P = markov_matrix(K, deg)
+    P = K / deg.values[:, None]
     row = float(np.abs(P.sum(axis=1) - 1.0).max())
     model = deterministic_model(K, deg, min(X.n, 6))
     top = abs(model.eigenvalues[0] - 1.0)
@@ -255,6 +254,20 @@ def test_criterion_6_stalled_graph_falls_back_quickly():
     assert _markov_invariants_hold(*invariants), invariants
 
 
+def test_repeated_eigenvalue_one_warns():
+    # Criterion 6's n = 982 graph is disconnected, so its embedding is not
+    # unique; a connected helix graph stays silent under every method.
+    X, sigma = next((X, s) for X, s in _criterion_6_datasets() if X.n == 982)
+    with pytest.warns(UserWarning) as caught:  # the ARPACK fallback warns too
+        decompose(X, sigma, "deterministic", 6)
+    assert sum("eigenvalue 1 repeats" in str(w.message) for w in caught) == 1
+    helix = generate_helix(600, noise_std=0.05, seed=0)
+    for method in ("deterministic", "nystrom_projection", "nystrom_columns"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decompose(helix, 0.5, method, 20)
+
+
 def test_criterion_7_integrator_order(acceptance_log):
     ends = {}
     for dt in (1e-3, 5e-4, 1.25e-4):
@@ -263,7 +276,8 @@ def test_criterion_7_integrator_order(acceptance_log):
     err_coarse = np.linalg.norm(ends[1e-3] - ends[1.25e-4])
     err_fine = np.linalg.norm(ends[5e-4] - ends[1.25e-4])
     ratio = err_coarse / err_fine
-    derivative = lorenz_derivative(np.array([-8.0, 8.0, 27.0]), LorenzParams())
+    params = LorenzParams()
+    derivative = _lorenz_rhs(-8.0, 8.0, 27.0, params.sigma, params.rho, params.beta)
     exact = np.array_equal(derivative, np.array([160.0, -16.0, -136.0]))
     ok = 8.0 < ratio < 24.0 and exact
     _verdict(

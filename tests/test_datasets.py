@@ -14,11 +14,10 @@ from nydmap import (
     generate_swiss_roll,
     integrate_lorenz,
     load_csv,
-    lorenz_derivative,
     save_csv,
     subsample_rows,
 )
-from nydmap.datasets import CSV_CHUNK_VALUES
+from nydmap.datasets import CSV_CHUNK_VALUES, _lorenz_rhs
 
 
 def test_helix_zero_noise_lies_on_manifold():
@@ -100,7 +99,8 @@ def test_lorenz_origin_is_fixed_point():
 
 
 def test_lorenz_derivative_hand_value():
-    d = lorenz_derivative((-8.0, 8.0, 27.0), LorenzParams())
+    params = LorenzParams()
+    d = _lorenz_rhs(-8.0, 8.0, 27.0, params.sigma, params.rho, params.beta)
     # 10*(8-(-8)) = 160; -8*(28-27)-8 = -16; (-8*8) - (8/3)*27 = -136,
     # all exactly representable.
     assert d[0] == 160.0 and d[1] == -16.0 and d[2] == -136.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,13 @@ from nydmap import (
     deterministic_model,
     diffusion_distance,
     diffusion_map,
-    eigenvalue_power,
     gaussian_kernel_matrix,
     generate_helix,
     kmeans_cluster,
     relative_embedding_error,
 )
 from nydmap import embedding
-from nydmap.embedding import ClusterLabels
+from nydmap.embedding import ClusterLabels, eigenvalue_power
 from nydmap.kernel import DegreeVector
 from nydmap.spectral import SpectralModel
 
@@ -302,12 +303,25 @@ def test_kmeans_validation():
         kmeans_cluster(emb, 0)
     with pytest.raises(ParameterError):
         kmeans_cluster(emb, 11)
-    with pytest.raises(ParameterError):
-        kmeans_cluster(emb, 2, max_iters=0)
+
+
+def test_kmeans_reports_whether_it_converged(monkeypatch):
+    emb = _flat_embedding(np.random.default_rng(5).normal(size=(200, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        settled = kmeans_cluster(emb, 4, seed=0)
+    assert settled.converged
+    assert 1 < len(settled.inertia_history) < embedding.KMEANS_MAX_ITERS
+    # One round cannot see the assignment settle: the cap is hit and said.
+    monkeypatch.setattr(embedding, "KMEANS_MAX_ITERS", 1)
+    with pytest.warns(UserWarning, match="k-means stopped at its cap of 1 rounds"):
+        capped = kmeans_cluster(emb, 4, seed=0)
+    assert not capped.converged
+    assert len(capped.inertia_history) == 1
 
 
 def test_cluster_labels_validation():
     with pytest.raises(DegeneracyError):
-        ClusterLabels(np.array([0, 0, 1]), 3, 0.0, np.zeros(1))
+        ClusterLabels(np.array([0, 0, 1]), 3, 0.0, np.zeros(1), True)
     with pytest.raises(DimensionError):
-        ClusterLabels(np.zeros((2, 2), dtype=int), 2, 0.0, np.zeros(1))
+        ClusterLabels(np.zeros((2, 2), dtype=int), 2, 0.0, np.zeros(1), True)

@@ -19,7 +19,6 @@ from nydmap import (
     deterministic_model,
     diffusion_map,
     eigendecompose,
-    fix_signs,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
     gaussian_sketch_basis,
@@ -37,7 +36,7 @@ from nydmap import (
 )
 from nydmap.kernel import DegreeVector
 from nydmap.nystrom import RANK_TOL
-from nydmap.spectral import SpectralModel
+from nydmap.spectral import SpectralModel, fix_signs
 
 
 def _diffusion_A(n, seed, sigma=0.8, p=3):
@@ -167,9 +166,12 @@ def test_sample_columns_near_identity_kernel():
 def test_degenerate_inputs_exact_and_projection(method, n, copies, sigma, d):
     points = generate_helix(n, noise_std=0.05, seed=0).values
     X = DataMatrix(np.repeat(points, copies, axis=0))
-    with _ends_quickly(), warnings.catch_warnings():
+    with _ends_quickly(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("error")
+        warnings.filterwarnings("always", message="eigenvalue 1 repeats")
         model = decompose(X, sigma, method, d, oversampling=10)
+    # K = I leaves n unconnected points: eigenvalue 1 repeats, and is reported.
+    assert len(caught) == (sigma == 1e-7)
     assert model.rank_d == d
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.isfinite(model.eigenvectors_markov))

@@ -30,7 +30,7 @@ from nydmap import (
     run_experiment,
     save_csv,
 )
-from nydmap import kernel
+from nydmap import embedding, kernel
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
 from nydmap.runner import _SETTINGS, _config_from_args, _config_lines, build_parser, main
@@ -579,8 +579,20 @@ def test_report_records_kmeans_iterations(tmp_path):
         "k": 3,
         "inertia": labels.inertia,
         "iterations": len(labels.inertia_history),
+        "converged": True,
     }
     assert saved["iterations"] >= 1
+
+
+def test_report_records_kmeans_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(embedding, "KMEANS_MAX_ITERS", 1)
+    run_experiment(_cfg(tmp_path, method="nystrom_columns", cluster_k=3))
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved["clustering"]["iterations"] == 1
+    assert saved["clustering"]["converged"] is False
+    assert [w for w in saved["warnings"] if "k-means" in w] == [
+        "k-means stopped at its cap of 1 rounds with the assignment still changing"
+    ]
 
 
 def test_compare_spectrum_csv_reloads_report_eigenvalues(tmp_path):
@@ -1005,6 +1017,24 @@ def test_main_exit_code_3_when_kernel_exceeds_available_memory(
         capsys.readouterr().err
     )
     assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize(
+    "method, needed",
+    # l = 4 + 10 columns; the projection basis has q + 2 = 4 blocks of them.
+    [("nys-cols", 8 * 60 * 14), ("nys-rp", 8 * 60 * 4 * 14)],
+)
+def test_main_exit_code_3_when_sketch_exceeds_available_memory(
+    tmp_path, capsys, monkeypatch, method, needed
+):
+    monkeypatch.setattr(kernel, "_available_memory_bytes", lambda: needed - 1)
+    out = tmp_path / "x"
+    code = main(["run", "--method", method, "--n", "60", "--rank", "4", "--out", str(out)])
+    assert code == 3
+    assert f"n=60 needs {needed} bytes, but only {needed - 1} bytes are available" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_main_exit_code_3_on_degenerate_embedding(tmp_path, capsys):
