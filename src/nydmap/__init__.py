@@ -56,7 +56,6 @@ from .errors import (
 )
 from .kernel import (
     DegreeVector,
-    degree_vector,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
@@ -64,7 +63,6 @@ from .nystrom import (
     gaussian_sketch_basis,
     nystrom_eigs,
     project,
-    psd_inverse_sqrt,
     sample_columns,
 )
 from .runner import (
@@ -73,7 +71,6 @@ from .runner import (
     compare_methods,
     decompose,
     load_config_file,
-    load_report,
     run_experiment,
 )
 from .spectral import (
@@ -81,7 +78,6 @@ from .spectral import (
     SpectralModel,
     deterministic_model,
     eigendecompose,
-    recover_markov_eigvecs,
     symmetric_matrix,
 )
 
@@ -109,7 +105,6 @@ __all__ = [
     "StageFailure",
     "compare_methods",
     "decompose",
-    "degree_vector",
     "deterministic_model",
     "diffusion_distance",
     "diffusion_map",
@@ -123,11 +118,8 @@ __all__ = [
     "kmeans_cluster",
     "load_config_file",
     "load_csv",
-    "load_report",
     "nystrom_eigs",
     "project",
-    "psd_inverse_sqrt",
-    "recover_markov_eigvecs",
     "relative_embedding_error",
     "run_experiment",
     "sample_columns",

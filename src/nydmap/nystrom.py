@@ -323,7 +323,7 @@ def psd_inverse_sqrt(W):
     return 0.5 * (M + M.T)
 
 
-def nystrom_eigs(F, d, deg, method="nystrom_projection"):
+def nystrom_eigs(F, d, deg):
     """Approximate top-d eigenpairs of A ~= F F^T from the l-by-l Gram matrix.
 
     F is the n-by-l factor, or project's factored form, a pair (Q, G) with
@@ -339,8 +339,7 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
     the zero columns of a column draw that stopped early give zero
     eigenvalues and drop out.  If it is below d, the result is truncated
     and a RankDeficiencyWarning records the effective rank.  Returns a
-    SpectralModel tagged ``method``, the sketch that built F:
-    ``nystrom_projection`` or ``nystrom_columns``.
+    SpectralModel.
     """
     Q = None
     if isinstance(F, tuple):
@@ -354,8 +353,6 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
         raise ParameterError(f"need 1 <= d <= sketch size {l}, got d={d}")
     if n != deg.n:
         raise DimensionError(f"F is for n={n} but degrees have length {deg.n}")
-    if method not in ("nystrom_columns", "nystrom_projection"):
-        raise ParameterError(f"unknown sketch method {method!r}")
     lam, V = np.linalg.eigh(F.T @ F)
     lam, V = lam[::-1], V[:, ::-1]
     if not lam[0] > 0.0:
@@ -372,4 +369,4 @@ def nystrom_eigs(F, d, deg, method="nystrom_projection"):
     U = F @ (V[:, :keep] / np.sqrt(lam[:keep]))
     U = U if Q is None else Q @ U
     markov = recover_markov_eigvecs(U, deg)
-    return SpectralModel(lam[:keep], markov, deg, method)
+    return SpectralModel(lam[:keep], markov, deg)

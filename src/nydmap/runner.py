@@ -21,7 +21,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown dataset {self.dataset!r}; expected one of {DATASETS}"
             )
-        if self.method not in METHODS:
-            raise ParameterError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
         if self.dataset == "csv":
             if not self.csv_path:
                 raise ParameterError("dataset 'csv' requires csv_path")
@@ -122,22 +118,19 @@ class ExperimentConfig:
             raise ParameterError(
                 f"kernel width sigma must be finite and > 0, got {self.sigma}"
             )
-        if self.d < 1:
-            raise ParameterError(f"target rank d must be >= 1, got {self.d}")
         if not 0.0 < self.t < np.inf:
             raise ParameterError(f"diffusion time t must be finite and > 0, got {self.t}")
         if not 0.0 <= self.noise_std < np.inf:
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.cluster_k < 0:
-            raise ParameterError(f"cluster_k must be >= 0, got {self.cluster_k}")
-        if self.oversampling < 0:
-            raise ParameterError(f"oversampling must be >= 0, got {self.oversampling}")
-        if self.power_iterations < 0:
-            raise ParameterError(
-                f"power_iterations must be >= 0, got {self.power_iterations}"
-            )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        n = self.n or None  # a csv file read whole: n is known once it is loaded
+        k = self.cluster_k
+        if not 0 <= k <= (n or k):
+            raise ParameterError(f"need 0 <= cluster_k <= n={n or '?'}, got {k}")
+        _check_settings(
+            self.method, self.d, self.oversampling, self.power_iterations, self.seed, n
+        )
+        if self.drop_trivial and self.d < 2:
+            raise ParameterError(f"drop_trivial leaves no component of d={self.d}")
         return self
 
     def to_dict(self):
@@ -171,20 +164,6 @@ class ExperimentReport:
     def to_json(self):
         payload = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise DataFormatError(f"unknown report keys: {sorted(unknown)}")
-        return cls(**payload)
-
-
-def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentReport.from_json(fh.read())
 
 
 def _build_dataset(config):
@@ -222,11 +201,24 @@ class _StageClock:
         return result, elapsed
 
 
-def _sketch_size(n, d, oversampling):
+def _check_settings(method, d, oversampling, power_iterations, seed, n=None):
+    """Raise ParameterError unless decompose's settings hold for n points.
+
+    Returns the sketch size d + oversampling, which must not exceed n for
+    the sketches.  n is None while it is unknown, and then bounds nothing.
+    """
+    if method not in METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not 1 <= d <= (n or d):
+        raise ParameterError(f"need 1 <= d <= n={n or '?'}, got d={d}")
     if oversampling < 0:
         raise ParameterError(f"oversampling must be >= 0, got {oversampling}")
+    if power_iterations < 0:
+        raise ParameterError(f"power_iterations must be >= 0, got {power_iterations}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     l = d + oversampling
-    if l > n:
+    if method != "deterministic" and l > (n or l):
         raise ParameterError(f"sketch size d + oversampling = {l} exceeds n = {n}")
     return l
 
@@ -244,25 +236,16 @@ def decompose(
     multiplies, the first of which gives the degrees.
     ``nystrom_columns`` fetches only its l pivot kernel columns and takes
     the degrees from its factor (see sample_columns).  Both sketches take
-    their degrees inside the decomposition stage.  d, oversampling,
-    power_iterations, seed and the sketch size are checked before any
-    kernel entry is evaluated.  A ``clock`` (a _StageClock) times the
-    kernel, degrees and decomposition stages and raises a failure as a
-    StageFailure naming its stage.  A second eigenvalue within 1e-10 of 1
-    (a disconnected graph) raises a UserWarning.
+    their degrees inside the decomposition stage.  The settings are checked
+    as ExperimentConfig.validate checks them, before any kernel entry is
+    evaluated.  A ``clock`` (a _StageClock) times the kernel, degrees and
+    decomposition stages and raises a failure as a StageFailure naming its
+    stage.  A second eigenvalue within 1e-10 of 1 (a disconnected graph)
+    raises a UserWarning.
 
     Returns a SpectralModel whose ``degrees`` are the degrees used.
     """
-    if method not in METHODS:
-        raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
-    if power_iterations < 0:
-        raise ParameterError(f"power_iterations must be >= 0, got {power_iterations}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if not 1 <= d <= X.n:
-        raise ParameterError(f"need 1 <= d <= n={X.n}, got d={d}")
-    if method != "deterministic":
-        l = _sketch_size(X.n, d, oversampling)
+    l = _check_settings(method, d, oversampling, power_iterations, seed, X.n)
     run = clock.run if clock is not None else lambda stage, fn: (fn(), 0.0)
     if method == "deterministic":
         # The exact solve's scipy import is paid first, outside every
@@ -282,7 +265,7 @@ def decompose(
             F, sketch_deg, _ = sample_columns(columns, X.n, l, seed)
         else:
             F, sketch_deg = gaussian_sketch_basis(X, sigma, l, power_iterations, seed)
-        return nystrom_eigs(F, d, sketch_deg, method=method)
+        return nystrom_eigs(F, d, sketch_deg)
 
     model = run("decomposition", solve)[0]
     if model.rank_d > 1 and model.eigenvalues[1] >= 1.0 - 1e-10:
@@ -346,9 +329,9 @@ def _pipeline(config, methods):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         X, _ = clock.run("data", lambda: _build_dataset(config))
-        if several:
-            # The sketches must fit before the exact solve spends a kernel pass.
-            _sketch_size(X.n, config.d, config.oversampling)
+        # Every method is checked against the loaded n before any kernel pass.
+        for method in methods:
+            replace(config, n=X.n, method=method).validate()
         for method in methods:
             if method == methods[0]:
                 model = ref = decompose(X, method=method, clock=clock, **settings)

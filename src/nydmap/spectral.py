@@ -78,7 +78,6 @@ class SpectralModel:
     eigenvalues: np.ndarray
     eigenvectors_markov: np.ndarray
     degrees: DegreeVector
-    method: str
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -91,14 +90,8 @@ class SpectralModel:
                 f"eigenvectors_markov must have shape ({self.degrees.n}, {d}), "
                 f"got {markov.shape}"
             )
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors_markov", markov)
-
-    @property
-    def n(self):
-        return self.degrees.n
 
     @property
     def rank_d(self):
@@ -287,7 +280,7 @@ def deterministic_model(K, deg, d):
     """
     A = symmetric_matrix(K, deg)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
-    return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg, "deterministic")
+    return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg)
 
 
 class DiffusionOperator:

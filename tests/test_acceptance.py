@@ -18,7 +18,6 @@ from nydmap import (
     RankDeficiencyWarning,
     compare_methods,
     decompose,
-    degree_vector,
     deterministic_model,
     diffusion_map,
     eigendecompose,
@@ -33,7 +32,7 @@ from nydmap import (
     subsample_rows,
 )
 from nydmap.datasets import _lorenz_rhs
-from nydmap.kernel import DegreeVector, _available_memory_bytes
+from nydmap.kernel import DegreeVector, _available_memory_bytes, degree_vector
 
 
 def _verdict(log, num, name, ok, detail):

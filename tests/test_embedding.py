@@ -10,7 +10,6 @@ from nydmap import (
     IndexingError,
     NumericError,
     ParameterError,
-    degree_vector,
     deterministic_model,
     diffusion_distance,
     diffusion_map,
@@ -21,7 +20,7 @@ from nydmap import (
 )
 from nydmap import embedding
 from nydmap.embedding import ClusterLabels, eigenvalue_power
-from nydmap.kernel import DegreeVector
+from nydmap.kernel import DegreeVector, degree_vector
 from nydmap.spectral import SpectralModel
 
 
@@ -36,7 +35,7 @@ def _hand_model(vals, n=8, seed=0):
     vals = np.asarray(vals, dtype=float)
     d = vals.size
     Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, d)))[0]
-    return SpectralModel(vals, Q, DegreeVector(np.ones(n)), "deterministic")
+    return SpectralModel(vals, Q, DegreeVector(np.ones(n)))
 
 
 def _flat_embedding(coords):

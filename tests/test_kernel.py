@@ -13,7 +13,6 @@ from nydmap import (
     IndexingError,
     NumericError,
     ParameterError,
-    degree_vector,
     gaussian_kernel_columns,
     gaussian_kernel_matrix,
 )
@@ -21,6 +20,7 @@ from nydmap import kernel
 from nydmap.kernel import (
     BLOCK_ENTRIES,
     DegreeVector,
+    degree_vector,
     gaussian_kernel_block,
 )
 from nydmap.spectral import DiffusionOperator

@@ -15,7 +15,6 @@ from nydmap import (
     ParameterError,
     RankDeficiencyWarning,
     decompose,
-    degree_vector,
     deterministic_model,
     diffusion_map,
     eigendecompose,
@@ -26,17 +25,15 @@ from nydmap import (
     integrate_lorenz,
     nystrom_eigs,
     project,
-    psd_inverse_sqrt,
-    recover_markov_eigvecs,
     relative_embedding_error,
     runner,
     sample_columns,
     subsample_rows,
     symmetric_matrix,
 )
-from nydmap.kernel import DegreeVector
-from nydmap.nystrom import RANK_TOL
-from nydmap.spectral import SpectralModel, fix_signs
+from nydmap.kernel import DegreeVector, degree_vector
+from nydmap.nystrom import RANK_TOL, psd_inverse_sqrt
+from nydmap.spectral import SpectralModel, fix_signs, recover_markov_eigvecs
 
 
 def _diffusion_A(n, seed, sigma=0.8, p=3):
@@ -106,7 +103,7 @@ def _ends_quickly():
 
 
 def _checked_model(F, deg, d):
-    model = nystrom_eigs(F, d, deg, method="nystrom_columns")
+    model = nystrom_eigs(F, d, deg)
     assert deg.values.min() > 0.0
     assert np.all(np.isfinite(model.eigenvectors_markov))
     assert model.eigenvalues.max() <= 1.0 + 1e-10
@@ -393,7 +390,7 @@ def test_nystrom_eigs_identity_w_uses_c_unchanged():
     # below the 1e-12 allowed.
     X, _, _ = _diffusion_A(300, 2)
     F, deg, _ = _pivoted(X, 0.8, 40, seed=3)
-    model = nystrom_eigs(F, 30, deg, method="nystrom_columns")
+    model = nystrom_eigs(F, 30, deg)
     assert np.array_equal(model.eigenvalues, np.linalg.eigh(F.T @ F)[0][::-1][:30])
     svals = np.linalg.svd(F, compute_uv=False)
     np.testing.assert_allclose(model.eigenvalues, svals[:30] ** 2, rtol=1e-12, atol=0.0)
@@ -402,8 +399,7 @@ def test_nystrom_eigs_identity_w_uses_c_unchanged():
 def test_nystrom_eigs_scaled_identity_complete():
     n = 40
     F = 3.0 * np.eye(n) @ psd_inverse_sqrt(3.0 * np.eye(n))
-    model = nystrom_eigs(F, n, DegreeVector(np.ones(n)), method="nystrom_columns")
-    assert model.method == "nystrom_columns"
+    model = nystrom_eigs(F, n, DegreeVector(np.ones(n)))
     assert np.allclose(model.eigenvalues, 3.0, rtol=0.0, atol=1e-12)
 
 
@@ -426,8 +422,6 @@ def test_nystrom_eigs_validation():
         nystrom_eigs(F, 2, DegreeVector(np.ones(9)))
     with pytest.raises(DimensionError):
         nystrom_eigs(np.ones(10), 1, deg)
-    with pytest.raises(ParameterError, match="unknown sketch method"):
-        nystrom_eigs(F, 2, deg, method="bogus")
     # W's shape and symmetry are psd_inverse_sqrt's checks.
     W = np.eye(3)
     W[0, 1] = 1e-6
@@ -441,7 +435,6 @@ def test_nystrom_diffusion_eigenvalue_bounds():
     X, _, _ = _diffusion_A(300, 9, sigma=0.5)
     for method in ("nystrom_projection", "nystrom_columns"):
         model = decompose(X, 0.5, method, 20, oversampling=10, seed=2)
-        assert model.method == method
         assert model.eigenvalues.min() >= -1e-8
         assert model.eigenvalues.max() <= 1.0 + 1e-8
         assert np.all(np.diff(model.eigenvalues) <= 1e-15)
@@ -483,7 +476,7 @@ def test_nystrom_model_bitwise_deterministic():
         b = decompose(X, 0.5, method, 15, oversampling=5, seed=7)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors_markov, b.eigenvectors_markov)
-        assert a.method == b.method and a.rank_d == b.rank_d
+        assert a.rank_d == b.rank_d
 
 
 def test_decompose_deterministic_matches_deterministic_model():
@@ -491,13 +484,13 @@ def test_decompose_deterministic_matches_deterministic_model():
     K = gaussian_kernel_matrix(X, 0.5)
     expected = deterministic_model(K, degree_vector(X, 0.5), 12)
     model = decompose(X, 0.5, "deterministic", 12)
-    assert model.method == "deterministic" and model.rank_d == 12
+    assert model.rank_d == 12
     assert np.array_equal(model.degrees.values, expected.degrees.values)
     assert np.array_equal(model.eigenvalues, expected.eigenvalues)
     assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
 
 
-def _nystrom_eigs_signs_first(F, d, deg, method="nystrom_projection"):
+def _nystrom_eigs_signs_first(F, d, deg):
     # nystrom_eigs's former route, kept as the reference: it sign-fixed
     # A's eigenvectors before recovering the Markov ones.  A pair (Q, G) is
     # the factor F = Q G with Q orthonormal.
@@ -508,17 +501,16 @@ def _nystrom_eigs_signs_first(F, d, deg, method="nystrom_projection"):
     U = F @ (V[:, :keep] / np.sqrt(lam[:keep]))
     U = U if Q is None else Q @ U
     markov = recover_markov_eigvecs(fix_signs(U), deg)
-    return SpectralModel(lam[:keep], markov, deg, method)
+    return SpectralModel(lam[:keep], markov, deg)
 
 
 def test_markov_vectors_match_sign_fixed_route(monkeypatch):
     X, A, deg = _diffusion_A(300, 12, sigma=0.5)
     F = _gaussian_project(A, 25, q=1, seed=1)
     col_F, col_deg, _ = _pivoted(X, 0.5, 25, seed=1)
-    sketches = ((F, deg, "nystrom_projection"), (col_F, col_deg, "nystrom_columns"))
-    for F, dv, method in sketches:
-        model = nystrom_eigs(F, 15, dv, method=method)
-        expected = _nystrom_eigs_signs_first(F, 15, dv, method=method)
+    for F, dv in ((F, deg), (col_F, col_deg)):
+        model = nystrom_eigs(F, 15, dv)
+        expected = _nystrom_eigs_signs_first(F, 15, dv)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
     for method in ("nystrom_projection", "nystrom_columns"):
@@ -530,7 +522,7 @@ def test_markov_vectors_match_sign_fixed_route(monkeypatch):
         assert np.array_equal(model.eigenvectors_markov, expected.eigenvectors_markov)
 
 
-def _nystrom_eigs_svd(F, d, deg, method="nystrom_projection"):
+def _nystrom_eigs_svd(F, d, deg):
     # nystrom_eigs's tall-SVD route, kept as the reference for the Gram
     # route: eigenvalues are F's squared singular values, eigenvectors its
     # left singular vectors, with the same rank cutoff on sigma^2.
@@ -538,7 +530,7 @@ def _nystrom_eigs_svd(F, d, deg, method="nystrom_projection"):
     U, svals, _ = np.linalg.svd(F, full_matrices=False)
     keep = min(d, int(np.count_nonzero(svals > svals[0] * np.sqrt(RANK_TOL))))
     U = U[:, :keep] if Q is None else Q @ U[:, :keep]
-    return SpectralModel(svals[:keep] ** 2, recover_markov_eigvecs(U, deg), deg, method)
+    return SpectralModel(svals[:keep] ** 2, recover_markov_eigvecs(U, deg), deg)
 
 
 def _graded_factor(n, ratios, seed):
@@ -571,8 +563,8 @@ def test_gram_route_matches_svd_on_graded_and_deficient_factors():
         deg = DegreeVector(np.ones(n))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            model = nystrom_eigs(F, l, deg, method="nystrom_columns")
-            expected = _nystrom_eigs_svd(F, l, deg, method="nystrom_columns")
+            model = nystrom_eigs(F, l, deg)
+            expected = _nystrom_eigs_svd(F, l, deg)
         svals = np.linalg.svd(F, compute_uv=False)
         ratios = svals ** 2 / svals[0] ** 2
         if not np.any((ratios > RANK_TOL / 10) & (ratios < RANK_TOL * 10)):

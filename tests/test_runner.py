@@ -16,27 +16,30 @@ from nydmap import (
     DataFormatError,
     DataMatrix,
     ExperimentConfig,
-    ExperimentReport,
     ParameterError,
     compare_methods,
     decompose,
-    degree_vector,
     diffusion_map,
     generate_helix,
     kmeans_cluster,
     load_config_file,
     load_csv,
-    load_report,
     run_experiment,
     save_csv,
 )
 from nydmap import embedding, kernel
+from nydmap.kernel import degree_vector
 from nydmap.nystrom import PIVOT_ROUNDS
 from nydmap.spectral import METHODS
 from nydmap.runner import _SETTINGS, _config_from_args, _config_lines, build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering", "output")
+
+
+def _report(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _cfg(tmp_path, **kw):
@@ -69,11 +72,20 @@ def test_config_validation():
         dict(cluster_k=-1),
         dict(oversampling=-1),
         dict(power_iterations=-1),
+        dict(seed=-1),
+        dict(d=2001),
+        dict(method="nystrom_projection", d=1991),
+        dict(dataset="csv", csv_path="x.csv", n=0, d=0),
+        dict(drop_trivial=True, d=1),
+        dict(cluster_k=2001),
     ]
     for kw in bad:
         with pytest.raises(ParameterError):
             ExperimentConfig(**kw).validate()
     ExperimentConfig().validate()
+    # A csv file read whole bounds d, the sketch and k once it is loaded.
+    csv = dict(dataset="csv", csv_path="x.csv", n=0)
+    ExperimentConfig(**csv, d=5000, method="nystrom_columns", cluster_k=9000).validate()
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -187,10 +199,9 @@ def test_run_experiment_structure(tmp_path):
         assert (out / name).exists()
     payload = json.loads((out / "report.json").read_text())
     assert "relative_error" not in payload and "comparison" not in payload
-    loaded = load_report(str(out / "report.json"))
-    assert loaded.config == report.config
-    assert loaded.wall_time_seconds == report.wall_time_seconds
-    assert loaded.eigenvalues == report.eigenvalues
+    assert payload["config"] == report.config
+    assert payload["wall_time_seconds"] == report.wall_time_seconds
+    assert payload["eigenvalues"] == report.eigenvalues
 
     lines = (out / "embedding.csv").read_text().splitlines()
     assert lines[0] == ",".join(f"c{i}" for i in range(1, 11))
@@ -239,9 +250,22 @@ def test_decompose_rejects_bad_arguments_before_any_kernel_entry(kernel_entries)
         for d in (0, 201):
             with pytest.raises(ParameterError, match=r"need 1 <= d <= n=200"):
                 decompose(X, 0.5, method, d, oversampling=0)
-    for method in ("nystrom_projection", "nystrom_columns"):
+    for method in METHODS:
         with pytest.raises(ParameterError, match="oversampling must be >= 0"):
             decompose(X, 0.5, method, 10, oversampling=-1)
+    # ExperimentConfig checks the same settings, with the same messages.
+    bad = [dict(method="exact"), dict(d=0), dict(d=201)]
+    bad += [dict(method="nystrom_columns", d=150, oversampling=51)]
+    for method in METHODS:
+        bad += [dict(method=method, oversampling=-1), dict(method=method, seed=-1)]
+        bad += [dict(method=method, power_iterations=-3)]
+    for kw in bad:
+        settings = dict(method="deterministic", d=10, oversampling=10) | kw
+        with pytest.raises(ParameterError) as from_decompose:
+            decompose(X, 0.5, **settings)
+        with pytest.raises(ParameterError) as from_config:
+            ExperimentConfig(n=200, **settings).validate()
+        assert str(from_config.value) == str(from_decompose.value), kw
     assert kernel_entries == []
 
 
@@ -413,7 +437,7 @@ def test_run_projection_takes_degrees_inside_decomposition(tmp_path):
     # neither the kernel nor the degrees stage runs.
     out = tmp_path / "cli"
     assert main(["run", "--method", "nys-rp", "--n", "400", "--rank", "10", "--out", str(out)]) == 0
-    times = load_report(str(out / "report.json")).wall_time_seconds
+    times = _report(out / "report.json")["wall_time_seconds"]
     assert times["kernel"] == 0.0 and times["degrees"] == 0.0
     assert times["decomposition"] > 0.0
 
@@ -703,12 +727,12 @@ def test_compare_scores_truncated_sketches(tmp_path, capsys):
     spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
     assert not np.isnan(spectrum[:, :2]).any()
     assert not np.isnan(spectrum[:3]).any() and np.isnan(spectrum[3:, 2:]).all()
-    report = load_report(str(out / "report.json"))
-    for block in report.comparison.values():
+    report = _report(out / "report.json")
+    for block in report["comparison"].values():
         assert block["effective_rank"] == 3
         assert block["relative_error"] >= 0.0
-    truncations = [w for w in report.warnings if "effective rank 3; returning 3" in w]
-    assert len(truncations) == len(report.comparison)
+    truncations = [w for w in report["warnings"] if "effective rank 3; returning 3" in w]
+    assert len(truncations) == len(report["comparison"])
 
 
 def test_projection_rank_collapse_warned_once(tmp_path, capsys):
@@ -729,7 +753,7 @@ def test_projection_rank_collapse_warned_once(tmp_path, capsys):
         "--out", str(out),
     ])
     assert code == 0, capsys.readouterr().err
-    warnings = load_report(str(out / "report.json")).warnings
+    warnings = _report(out / "report.json")["warnings"]
     assert [w for w in warnings if "sketch rank" in w] == ["sketch rank collapsed to 9 of 15"]
 
 
@@ -789,16 +813,6 @@ def test_half_written_output_removed_on_write_failure(tmp_path, monkeypatch, tar
     with pytest.raises(OSError):
         run_experiment(config)
     assert os.listdir(tmp_path / "out") == []
-
-
-def test_report_json_rejects_unknown_keys():
-    report = ExperimentReport(
-        config={}, wall_time_seconds={}, eigenvalues=[], effective_rank=0, warnings=[]
-    )
-    payload = json.loads(report.to_json())
-    payload["extra"] = 1
-    with pytest.raises(DataFormatError):
-        ExperimentReport.from_json(json.dumps(payload))
 
 
 def test_every_cli_flag_sets_its_field():
@@ -869,9 +883,9 @@ def test_main_success_and_aliases(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "stages:" in text and "report.json" in text
-    report = load_report(os.path.join(out, "report.json"))
-    assert report.config["method"] == "deterministic"
-    assert report.config["dataset"] == "helix"
+    config = _report(os.path.join(out, "report.json"))["config"]
+    assert config["method"] == "deterministic"
+    assert config["dataset"] == "helix"
 
 
 def test_main_swiss_alias_and_compare(tmp_path, capsys):
@@ -893,9 +907,9 @@ def test_main_swiss_alias_and_compare(tmp_path, capsys):
     )
     assert code == 0
     assert "speedup" in capsys.readouterr().out
-    report = load_report(os.path.join(out, "report.json"))
-    assert report.config["dataset"] == "swiss_roll"
-    assert set(report.comparison) == {"nystrom_projection", "nystrom_columns"}
+    report = _report(os.path.join(out, "report.json"))
+    assert report["config"]["dataset"] == "swiss_roll"
+    assert set(report["comparison"]) == {"nystrom_projection", "nystrom_columns"}
 
 
 def test_main_config_file_overrides_flags(tmp_path, capsys):
@@ -921,10 +935,10 @@ def test_main_config_file_overrides_flags(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    report = load_report(os.path.join(out, "report.json"))
-    assert report.config["n"] == 150
-    assert report.config["d"] == 4
-    assert report.config["dataset"] == "helix"
+    config = _report(os.path.join(out, "report.json"))["config"]
+    assert config["n"] == 150
+    assert config["d"] == 4
+    assert config["dataset"] == "helix"
 
 
 def test_config_file_accepts_value_aliases(tmp_path):
@@ -950,14 +964,22 @@ def test_load_config_file_resolves_value_aliases(tmp_path):
 
 
 def test_main_exit_code_2_on_bad_config(tmp_path, capsys, kernel_entries):
-    code = main(["run", "--n", "1", "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-    # A rank above n is rejected before the kernel pass.
-    argv = ["run", "--method", "det", "--n", "300", "--rank", "301"]
-    code = main(argv + ["--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "need 1 <= d <= n=300" in capsys.readouterr().err
+    # Each is rejected before the kernel pass and writes nothing; the n of a
+    # csv file read whole is checked once the file is loaded.
+    data = tmp_path / "points.csv"
+    save_csv(str(data), generate_helix(30, 0.05, 0).values)
+    csv = ["--dataset", "csv", "--csv-path", str(data), "--n", "0"]
+    out = tmp_path / "x"
+    for argv, message in (
+        (["--n", "1"], "need n >= 2 observations"),
+        (["--method", "det", "--n", "300", "--rank", "301"], "need 1 <= d <= n=300"),
+        (["--n", "50", "--rank", "1", "--drop-trivial"], "no component of d=1"),
+        (["--n", "50", "--rank", "5", "--cluster", "51"], "cluster_k <= n=50, got 51"),
+        ([*csv, "--rank", "5", "--cluster", "31"], "cluster_k <= n=30, got 31"),
+    ):
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     assert kernel_entries == []
 
 
@@ -1038,19 +1060,26 @@ def test_main_exit_code_3_when_sketch_exceeds_available_memory(
 
 
 def test_main_exit_code_3_on_degenerate_embedding(tmp_path, capsys):
-    # rank 1 with the trivial component dropped leaves no coordinates
+    # Sixty copies of one point: the column sketch's rank collapses to 1,
+    # and with the trivial component dropped no coordinates are left.
+    same = tmp_path / "same.csv"
+    same.write_text("1.0,1.0\n" * 60)
     code = main(
         [
             "run",
             "--dataset",
-            "helix",
+            "csv",
+            "--csv-path",
+            str(same),
             "--n",
-            "60",
+            "0",
             "--rank",
-            "1",
+            "2",
+            "--oversample",
+            "0",
             "--drop-trivial",
             "--method",
-            "det",
+            "nys-cols",
             "--out",
             str(tmp_path / "x"),
         ]

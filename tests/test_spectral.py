@@ -13,17 +13,21 @@ from nydmap import (
     ParameterError,
     decompose,
     deterministic_model,
-    degree_vector,
     eigendecompose,
     gaussian_kernel_matrix,
     generate_helix,
     generate_swiss_roll,
-    recover_markov_eigvecs,
     symmetric_matrix,
 )
 from nydmap import kernel, spectral
-from nydmap.kernel import DegreeVector
-from nydmap.spectral import DiffusionOperator, SpectralModel, fix_signs, max_asymmetry
+from nydmap.kernel import DegreeVector, degree_vector
+from nydmap.spectral import (
+    DiffusionOperator,
+    SpectralModel,
+    fix_signs,
+    max_asymmetry,
+    recover_markov_eigvecs,
+)
 
 
 def _diffusion_parts(n, p, seed, sigma=0.8):
@@ -318,7 +322,6 @@ def test_similar_matrices_share_eigenvalues():
 def test_deterministic_model_fields():
     X, K, deg = _diffusion_parts(100, 3, 5)
     model = deterministic_model(K, deg, 7)
-    assert model.method == "deterministic"
     assert model.rank_d == 7
     assert model.eigenvalues.shape == (7,)
     assert model.eigenvectors_markov.shape == (100, 7)
@@ -328,11 +331,9 @@ def test_deterministic_model_fields():
 def test_spectral_model_validation():
     deg = DegreeVector(np.ones(4))
     U = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 2)))[0]
-    with pytest.raises(ParameterError):
-        SpectralModel(np.array([1.0, 0.5]), U, deg, "bogus")
     with pytest.raises(DimensionError):
-        SpectralModel(np.array([1.0]), U, deg, "deterministic")
-    assert SpectralModel(np.array([1.0, 0.5]), U, deg, "deterministic").rank_d == 2
+        SpectralModel(np.array([1.0]), U, deg)
+    assert SpectralModel(np.array([1.0, 0.5]), U, deg).rank_d == 2
 
 
 def test_diffusion_operator_matches_dense(block_rows):
