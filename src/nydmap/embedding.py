@@ -20,7 +20,17 @@ from .errors import (
 )
 
 EIGENVALUE_CLAMP = -1e-10
-KMEANS_MAX_ITERS = 100
+KMEANS_MAX_ITERS = 400
+
+# Bytes of coordinates k-means touches at a time: seeding, the bounds'
+# distance evaluations and the center sums work in row chunks this large.
+KMEANS_CHUNK_BYTES = 1 << 19
+
+# The Hamerly bounds' margin, relative to (|x| + max |c|)^2: far above
+# the expanded form's rounding, about (d + 2) eps relative (7e-14 at
+# d = 300), and the bounds' own drift over the rounds, yet far below any
+# gap that matters.  A point within it of a tie is evaluated.
+_BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,23 +185,44 @@ def relative_embedding_error(ref, approx):
     return num / denom
 
 
-def _sq_dists_to_centers(coords, x2, centers):
+def _chunk_rows(d):
+    """Rows of d coordinates in one KMEANS_CHUNK_BYTES chunk."""
+    return max(1, KMEANS_CHUNK_BYTES // (8 * d))
+
+
+def _direct_sq_dists(coords, center, out, buf):
+    """out[i] = ((coords[i] - center) ** 2).sum(), one chunk of buf's rows at a time.
+
+    Each row is reduced exactly as the whole-array expression reduces it,
+    so the result has the same bits without its two n-by-d temporaries.
+    """
+    step = buf.shape[0]
+    for a in range(0, coords.shape[0], step):
+        diff = np.subtract(coords[a:a + step], center, out=buf[:coords.shape[0] - a])
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[a:a + step])
+    return out
+
+
+def _sq_dists_to_centers(rows, x2, centers, c2):
     # Expanded form is fine here: k-means only needs argmin, not exact
-    # symmetric distances.  x2 holds the squared row norms of coords.
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (coords @ centers.T)
+    # symmetric distances.  x2 and c2 hold the squared row norms of rows
+    # and centers.
+    d2 = x2[:, None] + c2[None, :] - 2.0 * (rows @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def _plus_plus_centers(coords, k, rng):
     """Seeded k-means++ initialization (squared-distance weighted draws)."""
-    n = coords.shape[0]
+    n, d = coords.shape
+    buf = np.empty((min(n, _chunk_rows(d)), d))
     chosen = np.empty(k, dtype=int)
     chosen[0] = int(rng.integers(n))
-    centers = np.empty((k, coords.shape[1]))
+    centers = np.empty((k, d))
     centers[0] = coords[chosen[0]]
-    d2 = ((coords - centers[0]) ** 2).sum(axis=1)
+    d2 = _direct_sq_dists(coords, centers[0], np.empty(n), buf)
+    near = np.empty(n)
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -203,8 +234,71 @@ def _plus_plus_centers(coords, k, rng):
             idx = int(remaining[rng.integers(remaining.size)])
         chosen[c] = idx
         centers[c] = coords[idx]
-        d2 = np.minimum(d2, ((coords - centers[c]) ** 2).sum(axis=1))
+        np.minimum(d2, _direct_sq_dists(coords, centers[c], near, buf), out=d2)
     return centers
+
+
+def _two_nearest(d2):
+    """Each row's nearest center, with its squared distance and the next one's.
+
+    Ties go to the lower index, as argmin breaks them.  d2 is overwritten.
+    """
+    rows = np.arange(d2.shape[0])
+    labels = d2.argmin(axis=1)
+    first = d2[rows, labels]
+    d2[rows, labels] = np.inf
+    return labels, first, d2.min(axis=1)
+
+
+def _nearest_in_chunks(coords, x2, centers, c2, idx, step):
+    """_two_nearest for the points idx, gathered step rows at a time.
+
+    An empty idx still makes one (empty) part, so the result is three arrays.
+    """
+    parts = [
+        _two_nearest(_sq_dists_to_centers(coords[part], x2[part], centers, c2))
+        for part in (idx[a:a + step] for a in range(0, max(idx.size, 1), step))
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _reseeded(coords, x2, centers, c2, counts, buf):
+    """Lloyd's assignment of every point, with each empty cluster reseeded.
+
+    An empty cluster's center moves to the point farthest from its own
+    center, and every point is assigned again.  centers and counts are
+    updated in place.  Returns _two_nearest's result for every point.
+    """
+    d2 = _sq_dists_to_centers(coords, x2, centers, c2)
+    rows = np.arange(coords.shape[0])
+    labels = d2.argmin(axis=1)
+    closest = d2[rows, labels]
+    counts[:] = np.bincount(labels, minlength=counts.size)
+    for c in range(counts.size):
+        if counts[c] == 0:
+            far = int(np.argmax(closest))
+            centers[c] = coords[far]
+            _direct_sq_dists(coords, centers[c], d2[:, c], buf)
+            labels = d2.argmin(axis=1)
+            closest = d2[rows, labels]
+            counts[:] = np.bincount(labels, minlength=counts.size)
+    return _two_nearest(d2)
+
+
+def _add_rows(sums, coords, idx, old, new, step):
+    """sums[new[i]] += coords[idx[i]] and, where old is given, sums[old[i]] -= it.
+
+    One signed k-by-m indicator product per chunk of step rows.
+    """
+    k = sums.shape[0]
+    for a in range(0, idx.size, step):
+        part = idx[a:a + step]
+        cols = np.arange(part.size)
+        signs = np.zeros((k, part.size))
+        signs[new[a:a + step], cols] = 1.0
+        if old is not None:
+            signs[old[a:a + step], cols] = -1.0
+        sums += signs @ coords[part]
 
 
 def kmeans_cluster(emb, k, seed=0):
@@ -215,43 +309,82 @@ def kmeans_cluster(emb, k, seed=0):
     The recorded inertia history is non-increasing; iteration stops when
     the assignment stops changing (``converged``) or after
     KMEANS_MAX_ITERS rounds, which a UserWarning reports.
+
+    Rounds after the first follow Hamerly (SDM 2010): each point keeps an
+    upper bound on its distance to its own center and a lower bound on
+    its distance to every other, moved by how far the centers moved.  A
+    point whose bounds are apart by more than the expanded form's rounding
+    cannot change cluster and is not evaluated, so the labels are Lloyd's.
+    Per-cluster sums change only by the points that moved, and the inertia
+    comes from them: sum |x|^2 + sum n_c |c|^2 - 2 sum c . S_c, at least 0.
     """
     coords = emb.coords
-    n = coords.shape[0]
+    n, d = coords.shape
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n={n}, got k={k}")
     rng = np.random.default_rng(seed)
     centers = _plus_plus_centers(coords, k, rng)
-    rows = np.arange(n)
+    step = _chunk_rows(d)
+    buf = np.empty((min(n, step), d))
     x2 = np.einsum("ij,ij->i", coords, coords)
-    onehot = np.zeros((k, n))
+    x2_total = x2.sum()
+    # Centers are means of points or points themselves after the first
+    # round, so no center is farther from the origin than this.
+    radius = np.sqrt(max(x2.max(), np.einsum("ij,ij->i", centers, centers).max()))
+    # Bounds this far apart in squared distance order the expanded form's
+    # distances as they order the exact ones.
+    slack = _BOUND_SLACK * (np.sqrt(x2) + radius) ** 2
+    every = np.arange(n)
+    upper = np.empty(n)  # >= the distance to the point's own center
+    lower = np.empty(n)  # <= the distance to every other center
+    sums = np.zeros((k, d))
     labels = None
     history = []
     converged = False
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _sq_dists_to_centers(coords, x2, centers)
-        new_labels = d2.argmin(axis=1)
-        closest = d2[rows, new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(closest))
-                centers[c] = coords[far]
-                d2[:, c] = ((coords - centers[c]) ** 2).sum(axis=1)
-                new_labels = d2.argmin(axis=1)
-                closest = d2[rows, new_labels]
-        history.append(float(closest.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        if labels is None:
+            idx = every
+        else:
+            idx = np.flatnonzero(lower * lower - upper * upper <= 2.0 * slack)
+        near, first, second = _nearest_in_chunks(coords, x2, centers, c2, idx, step)
+        new_labels = np.empty(n, dtype=np.intp) if labels is None else labels.copy()
+        new_labels[idx] = near
+        counts = np.bincount(new_labels, minlength=k)
+        full = labels is None
+        if not counts.all():
+            new_labels, first, second = _reseeded(coords, x2, centers, c2, counts, buf)
+            idx, full = every, True
+        upper[idx] = np.sqrt(first + slack[idx])
+        lower[idx] = np.sqrt(np.maximum(second - slack[idx], 0.0))
+        if full:
+            history.append(float(first.sum()))
+            sums.fill(0.0)
+            _add_rows(sums, coords, every, None, new_labels, step)
+            moved = labels is None or not np.array_equal(new_labels, labels)
+        else:
+            changed = idx[near != labels[idx]]
+            _add_rows(sums, coords, changed, labels[changed], new_labels[changed], step)
+            inertia = x2_total + counts @ c2 - 2.0 * np.einsum("ij,ij->", centers, sums)
+            history.append(max(float(inertia), 0.0))
+            moved = changed.size > 0
+        if not moved:
             converged = True
             break
         labels = new_labels
-        # Every center is its members' mean, from one product.  A cluster
-        # that reseeding could not fill keeps its center; the ClusterLabels
-        # constructor reports the degeneracy at the end.
-        onehot.fill(0.0)
-        onehot[labels, rows] = 1.0
-        counts = np.bincount(labels, minlength=k)
+        # Every center is its members' mean.  A cluster that reseeding
+        # could not fill keeps its center; the ClusterLabels constructor
+        # reports the degeneracy at the end.
         filled = counts > 0
-        centers[filled] = (onehot @ coords)[filled] / counts[filled, None]
+        old = centers.copy()
+        centers[filled] = sums[filled] / counts[filled, None]
+        shift = np.sqrt(((centers - old) ** 2).sum(axis=1))
+        upper += shift[labels]
+        # Each lower bound drops by the largest move among the other centers.
+        top = int(np.argmax(shift))
+        runner_up = np.delete(shift, top).max() if k > 1 else 0.0
+        lower -= np.where(labels == top, runner_up, shift[top])
+        np.maximum(lower, 0.0, out=lower)
     if not converged:
         warnings.warn(
             f"k-means stopped at its cap of {KMEANS_MAX_ITERS} rounds with the "

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .kernel import DegreeVector, _check_fits
 from .spectral import (
+    RANK_TOL,
     SYMMETRY_TOL,
     DiffusionOperator,
     SpectralModel,
@@ -47,11 +48,6 @@ from .spectral import (
 # rounds) left the top-25 eigenvalues about 1.5x less accurate than blocks
 # of 10.
 PIVOT_ROUNDS = 12
-
-# The numerical-rank cutoff of both sketches; each function's docstring
-# states the form it takes there.  In nystrom_eigs it sits about 15 times
-# above the Gram's relative rounding floor, l * eps (7e-14 at l = 310).
-RANK_TOL = 1e-12
 
 
 def sample_columns(kernel_columns, n, l, seed):

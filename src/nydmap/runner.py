@@ -1,6 +1,6 @@
 """One decomposition entry, the benchmark harness and the command line.
 
-``decompose`` takes data to a SpectralModel by any of spectral.METHODS;
+``decompose`` takes data to a SpectralModel by any of METHODS;
 the library, ``run_experiment`` and ``compare_methods`` all call it.
 ``run_experiment`` executes one pipeline (dataset, kernel/degrees,
 decomposition, embedding) and writes a JSON report plus the embedding CSV.
@@ -63,7 +63,6 @@ from .nystrom import (
     sample_columns,
 )
 from .spectral import (
-    METHODS,
     deterministic_model,
     eigendecompose,  # not called here: perfbench's tracer wraps this site
     load_exact_solver,
@@ -72,6 +71,8 @@ from .spectral import (
 )
 
 DATASETS = ("helix", "swiss_roll", "lorenz", "csv")
+
+METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
 
 _CONFIG_ERRORS = (ParameterError, DataFormatError, DimensionError, IndexingError)
 
@@ -226,7 +227,7 @@ def _check_settings(method, d, oversampling, power_iterations, seed, n=None):
 def decompose(
     X, sigma, method, d, oversampling=10, power_iterations=2, seed=0, clock=None
 ):
-    """Top-d eigenpairs of X's diffusion operator by one of spectral.METHODS.
+    """Top-d eigenpairs of X's diffusion operator by one of METHODS.
 
     The keywords are ExperimentConfig's field names.  ``deterministic``
     materializes the kernel, takes its row sums as the degrees and solves
@@ -296,9 +297,9 @@ def _embed(config, model):
 def _zero_padded(emb, d):
     """``emb`` with zero columns appended up to d components.
 
-    A sketch that returned fewer components than the reference is scored
-    with the missing ones as zeros, so each adds its full weight to the
-    relative error.
+    A sketch and its reference are scored at the wider one's width, with
+    the narrower one's missing components as zeros, so each adds its full
+    weight to the relative error.
     """
     missing = d - emb.d
     if missing <= 0:
@@ -345,13 +346,14 @@ def _pipeline(config, methods):
                     method, lambda: decompose(X, method=method, **settings)
                 )
                 emb, embed_time = clock.run(method, lambda: _embed(config, model))
+                width = max(ref_emb.d, emb.d)
                 comparison[method] = {
                     "decomposition_seconds": decomp_time,
                     "embedding_seconds": embed_time,
                     "speedup_decomposition": ref_decomp / max(decomp_time, 1e-12),
                     "speedup_pipeline": ref_pipeline / max(decomp_time + embed_time, 1e-12),
                     "relative_error": relative_embedding_error(
-                        ref_emb, _zero_padded(emb, ref_emb.d)
+                        _zero_padded(ref_emb, width), _zero_padded(emb, width)
                     ),
                     "effective_rank": model.rank_d,
                     "eigenvalues": [float(v) for v in model.eigenvalues],

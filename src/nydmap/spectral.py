@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError, RankDeficiencyWarning
 from .kernel import (
     DegreeVector,
     _check_sigma,
@@ -45,9 +45,13 @@ from .kernel import (
     row_blocks,
 )
 
-METHODS = ("deterministic", "nystrom_columns", "nystrom_projection")
-
 SYMMETRY_TOL = 1e-10
+
+# The numerical-rank cutoff of the exact solve and both sketches; each
+# function's docstring states the form it takes there.  In nystrom_eigs it
+# sits about 15 times above the Gram's relative rounding floor, l * eps
+# (7e-14 at l = 310).
+RANK_TOL = 1e-12
 
 # Restart cap for the Lanczos iteration, from criterion 6's 100 random
 # graphs (k = 6, so ncv = 20 as under scipy's default and still 14
@@ -276,10 +280,22 @@ def deterministic_model(K, deg, d):
     """Full deterministic pipeline from kernel to SpectralModel.
 
     Normalizes K in place into A (see symmetric_matrix), so K is consumed,
-    decomposes A and recovers the Markov eigenvectors.
+    decomposes A and recovers the Markov eigenvectors.  Only eigenvalues
+    above RANK_TOL times the largest are kept: below it an eigenpair is
+    rounding noise.  If fewer than d remain, the result is truncated and a
+    RankDeficiencyWarning records the effective rank, as nystrom_eigs does.
     """
     A = symmetric_matrix(K, deg)
     vals, vecs = eigendecompose(A, d, check_symmetry=False)
+    keep = int(np.count_nonzero(vals > RANK_TOL * vals[0]))
+    if keep < d:
+        warnings.warn(
+            f"requested {d} eigenpairs but the operator has effective rank "
+            f"{keep}; returning {keep}",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+        vals, vecs = vals[:keep], vecs[:, :keep]
     return SpectralModel(vals, recover_markov_eigvecs(vecs, deg), deg)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,93 @@ def test_kmeans_matches_reference_loop(monkeypatch):
         assert reseeds >= 1
         assert np.array_equal(got.labels, labels)
         np.testing.assert_allclose(got.inertia_history, history, rtol=1e-12, atol=0.0)
+
+
+def _overlapping_blobs():
+    # Eight overlapping 20-dimensional blobs: Lloyd's loop takes 54 to 102
+    # rounds on them from k-means++ seeds 0 to 2.
+    rng = np.random.default_rng(1)
+    means = 0.5 * rng.normal(size=(8, 20))
+    return means[rng.integers(8, size=3000)] + rng.normal(size=(3000, 20))
+
+
+def test_kmeans_bounds_match_reference_over_many_rounds(monkeypatch):
+    coords = _overlapping_blobs()
+    emb = _flat_embedding(coords)
+    evaluated = []
+    nearest = embedding._nearest_in_chunks
+
+    def counted(coords, x2, centers, c2, idx, step):
+        evaluated.append(idx.size)
+        return nearest(coords, x2, centers, c2, idx, step)
+
+    monkeypatch.setattr(embedding, "_nearest_in_chunks", counted)
+    for seed in range(3):
+        evaluated.clear()
+        got = kmeans_cluster(emb, 8, seed=seed)
+        labels, history, _ = _reference_kmeans(coords, 8, seed, max_iters=400)
+        assert got.converged and len(history) >= 30
+        assert np.array_equal(got.labels, labels)
+        np.testing.assert_allclose(got.inertia_history, history, rtol=1e-12, atol=0.0)
+        # The bounds settle points that cannot move: 34-49% of Lloyd's n
+        # rows per round are evaluated on these blobs.
+        assert sum(evaluated) < 0.6 * len(history) * coords.shape[0]
+
+    # Stopped by the cap while the assignment still changes.
+    monkeypatch.setattr(embedding, "KMEANS_MAX_ITERS", 30)
+    with pytest.warns(UserWarning, match="cap of 30 rounds"):
+        got = kmeans_cluster(emb, 8, seed=0)
+    labels, history, _ = _reference_kmeans(coords, 8, 0, max_iters=30)
+    assert not got.converged and len(history) == 30
+    assert np.array_equal(got.labels, labels)
+    np.testing.assert_allclose(got.inertia_history, history, rtol=1e-12, atol=0.0)
+
+
+def _direct_plus_plus_centers(coords, k, rng):
+    """k-means++ seeding with whole-array direct-form distances, as an oracle."""
+    n = coords.shape[0]
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = int(rng.integers(n))
+    centers = np.empty((k, coords.shape[1]))
+    centers[0] = coords[chosen[0]]
+    d2 = ((coords - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            remaining = np.setdiff1d(np.arange(n), chosen[:c])
+            idx = int(remaining[rng.integers(remaining.size)])
+        chosen[c] = idx
+        centers[c] = coords[idx]
+        d2 = np.minimum(d2, ((coords - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def test_plus_plus_centers_match_direct_form_oracle():
+    rng = np.random.default_rng(8)
+    # Several row chunks with a ragged last one, then two distinct points
+    # for three centers, so the draw runs out of weight.
+    wide = rng.normal(size=(5001, 300)) * rng.uniform(0.1, 10.0, size=300)
+    few = np.repeat(rng.normal(size=(2, 3)), 5, axis=0)
+    assert wide.shape[0] % embedding._chunk_rows(300) > 0
+    for coords, k in ((wide, 8), (few, 3)):
+        for seed in range(3):
+            got = embedding._plus_plus_centers(coords, k, np.random.default_rng(seed))
+            want = _direct_plus_plus_centers(coords, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+
+def test_kmeans_memory_stays_below_one_embedding():
+    coords = np.random.default_rng(9).normal(size=(20000, 50))
+    emb = _flat_embedding(coords)
+    tracemalloc.start()
+    try:
+        kmeans_cluster(emb, 8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < coords.nbytes
 
 
 def test_kmeans_degenerate_when_fewer_distinct_points_than_k():

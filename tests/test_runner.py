@@ -27,11 +27,17 @@ from nydmap import (
     run_experiment,
     save_csv,
 )
-from nydmap import embedding, kernel
+from nydmap import embedding, kernel, spectral
 from nydmap.kernel import degree_vector
 from nydmap.nystrom import PIVOT_ROUNDS
-from nydmap.spectral import METHODS
-from nydmap.runner import _SETTINGS, _config_from_args, _config_lines, build_parser, main
+from nydmap.runner import (
+    METHODS,
+    _SETTINGS,
+    _config_from_args,
+    _config_lines,
+    build_parser,
+    main,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("data", "kernel", "degrees", "decomposition", "embedding", "clustering", "output")
@@ -620,7 +626,7 @@ def test_report_records_kmeans_cap(tmp_path, monkeypatch):
 
 
 def test_compare_spectrum_csv_reloads_report_eigenvalues(tmp_path):
-    # Three tight clusters: both sketches return 3 of the 10 eigenvalues.
+    # Three tight clusters: every method returns 3 of the 10 eigenvalues.
     rng = np.random.default_rng(0)
     centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
     points = np.repeat(centers, 20, axis=0) + rng.normal(scale=1e-7, size=(60, 3))
@@ -631,11 +637,11 @@ def test_compare_spectrum_csv_reloads_report_eigenvalues(tmp_path):
     )
     report = compare_methods(config)
     spectra = [report.eigenvalues] + [b["eigenvalues"] for b in report.comparison.values()]
-    expected = np.full((10, 4), np.nan)
-    expected[:, 0] = np.arange(10)
+    expected = np.full((3, 4), np.nan)
+    expected[:, 0] = np.arange(3)
     for j, vals in enumerate(spectra):
         expected[: len(vals), j + 1] = vals
-    assert [len(vals) for vals in spectra] == [10, 3, 3]
+    assert [len(vals) for vals in spectra] == [3, 3, 3]
     saved = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
     assert np.array_equal(saved, expected, equal_nan=True)
 
@@ -702,8 +708,8 @@ def test_truncation_warning_recorded(tmp_path):
 
 
 def test_compare_scores_truncated_sketches(tmp_path, capsys):
-    # Three tight clusters: the kernel has numerical rank 3, so both sketches
-    # return 3 of the 10 eigenpairs the exact solve returns.
+    # Three tight clusters: the kernel has numerical rank 3, so the exact
+    # solve and both sketches return 3 of the 10 eigenpairs asked for.
     rng = np.random.default_rng(0)
     centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
     points = np.repeat(centers, 20, axis=0) + rng.normal(scale=1e-7, size=(60, 3))
@@ -725,14 +731,36 @@ def test_compare_scores_truncated_sketches(tmp_path, capsys):
     ):
         assert (out / name).exists()
     spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
-    assert not np.isnan(spectrum[:, :2]).any()
-    assert not np.isnan(spectrum[:3]).any() and np.isnan(spectrum[3:, 2:]).all()
+    assert spectrum.shape == (3, 4) and not np.isnan(spectrum).any()
     report = _report(out / "report.json")
+    assert report["effective_rank"] == 3
     for block in report["comparison"].values():
         assert block["effective_rank"] == 3
         assert block["relative_error"] >= 0.0
     truncations = [w for w in report["warnings"] if "effective rank 3; returning 3" in w]
-    assert len(truncations) == len(report["comparison"])
+    assert len(truncations) == 1 + len(report["comparison"])
+
+
+def test_compare_scores_sketches_against_a_narrower_reference(tmp_path, monkeypatch):
+    # An exact solve that keeps fewer components than the sketches: each
+    # pair is scored at the sketch's width, the reference's missing
+    # components counting as zeros.  Patching spectral.RANK_TOL moves the
+    # exact solve's cutoff alone: nystrom holds its own binding of it.
+    monkeypatch.setattr(spectral, "RANK_TOL", 0.5)
+    report = compare_methods(_cfg(tmp_path, d=10))
+    kept = report.effective_rank
+    assert 1 < kept < 10
+    assert any(f"operator has effective rank {kept}" in w for w in report.warnings)
+    out = tmp_path / "out"
+    spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.isnan(spectrum[kept:, 1]).all() and not np.isnan(spectrum[:, 2:]).any()
+    ref = np.loadtxt(out / "embedding_deterministic.csv", delimiter=",", skiprows=1)
+    ref = np.abs(np.pad(ref, ((0, 0), (0, 10 - kept))))
+    for method, block in report.comparison.items():
+        assert block["effective_rank"] == 10
+        approx = np.loadtxt(out / f"embedding_{method}.csv", delimiter=",", skiprows=1)
+        expected = np.linalg.norm(ref - np.abs(approx)) / np.linalg.norm(ref)
+        assert block["relative_error"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_projection_rank_collapse_warned_once(tmp_path, capsys):
@@ -1086,6 +1114,35 @@ def test_main_exit_code_3_on_degenerate_embedding(tmp_path, capsys):
     )
     assert code == 3
     assert "embedding" in capsys.readouterr().err
+
+
+def test_main_exit_code_3_on_degenerate_exact_embedding(tmp_path, capsys):
+    # Sixty copies of one point: the exact solve keeps only eigenvalue 1 and
+    # says so, and with the trivial component dropped no coordinates are
+    # left, as for the column sketch above.
+    same = tmp_path / "same.csv"
+    same.write_text("1.0,1.0\n" * 60)
+    code = main(
+        [
+            "run",
+            "--dataset",
+            "csv",
+            "--csv-path",
+            str(same),
+            "--n",
+            "0",
+            "--rank",
+            "2",
+            "--drop-trivial",
+            "--method",
+            "det",
+            "--out",
+            str(tmp_path / "x"),
+        ]
+    )
+    assert code == 3
+    assert "embedding" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_main_argparse_failures(capsys):
